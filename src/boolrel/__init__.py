@@ -57,6 +57,7 @@ from .reductions import (
 from .relevance import (
     RelevanceQuery,
     RelevanceReport,
+    SampleCapExceeded,
     SearchCapExceeded,
     Verdict,
     amplified_sample_relevance,
@@ -111,6 +112,7 @@ __all__ = [
     "RelevanceQuery",
     "RelevanceReport",
     "SearchCapExceeded",
+    "SampleCapExceeded",
     "is_delta_relevant",
     "decide_relevant_input",
     "solve_min_relevant_input",

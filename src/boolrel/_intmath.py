@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "floor_log2",
@@ -10,6 +11,7 @@ __all__ = [
     "nth_root_floor",
     "nth_root_ceil",
     "pow_bounds",
+    "ln3_bounds",
 ]
 
 
@@ -84,3 +86,20 @@ def pow_bounds(base: int, exponent: Fraction, precision_bits: int = 32) -> tuple
     scaled = power * scale ** b
     lo = nth_root_floor(scaled, b)
     return Fraction(lo, scale), Fraction(lo + 1, scale)
+
+
+@lru_cache(maxsize=16)
+def ln3_bounds(precision_bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosing interval [lo, hi] of ln 3, no wider than 2^-precision_bits.
+
+    Sums ln 3 = 2 atanh(1/2) = sum over k >= 0 of 1 / ((2k+1) 4^k) in
+    fixed point.  Each of the `terms` floors loses under one unit and the
+    tail beyond them is under 4^-terms, below one unit too.
+    """
+    if precision_bits < 0:
+        raise ValueError("ln3_bounds needs precision_bits >= 0")
+    work = precision_bits + precision_bits.bit_length() + 2
+    terms = work // 2 + 1
+    scale = 1 << work
+    total = sum(scale // ((2 * k + 1) << (2 * k)) for k in range(terms))
+    return Fraction(total, scale), Fraction(total + terms + 1, scale)

@@ -138,6 +138,15 @@ def _load_instance_file(path: str) -> dict:
         raise UsageError(f"instance file is not valid JSON: {err}") from err
 
 
+def _load_problem(path: str) -> ProblemInstance:
+    """A tagged problem instance (a reduce report's result.instance)."""
+    data = _load_instance_file(path)
+    try:
+        return ProblemInstance.from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"bad instance file: {err}") from err
+
+
 def _resolve_query(config: RunConfig, need_x: bool = True) -> RelevanceQuery:
     """Build the relevance query from exactly one input source."""
     if (config.instance_path is None) == (config.formula is None):
@@ -436,11 +445,7 @@ def _cmd_reduce(config: RunConfig):
     step = config.extras["step"]
     want_kind = _REDUCE_SOURCE_KIND[step]
     if config.instance_path is not None:
-        data = _load_instance_file(config.instance_path)
-        try:
-            source = ProblemInstance.from_json_dict(data)
-        except (KeyError, ValueError) as err:
-            raise UsageError(f"bad instance file: {err}") from err
+        source = _load_problem(config.instance_path)
     elif config.formula is not None and want_kind in ("sat", "emajsat"):
         try:
             f = parse(config.formula)
@@ -490,12 +495,8 @@ def _cmd_reduce(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
-    source = ProblemInstance.from_json_dict(
-        _load_instance_file(config.extras["source"])
-    )
-    reduced = ProblemInstance.from_json_dict(
-        _load_instance_file(config.extras["reduced"])
-    )
+    source = _load_problem(config.extras["source"])
+    reduced = _load_problem(config.extras["reduced"])
     try:
         check = verify_reduction(source, reduced)
     except ValueError as err:

@@ -44,9 +44,11 @@ from .formula import (
     SubsetMask,
     Var,
     Xor,
+    _var_pattern,
     and_,
     const,
     evaluate,
+    evaluate_lanes,
     not_,
     or_,
     support,
@@ -246,86 +248,17 @@ def _freshen(root: Node):
 # Bit-parallel enumeration over the free variables of a node.
 
 
-def _var_block(position: int, size: int) -> int:
-    half = 1 << position
-    block = ((1 << half) - 1) << half
-    width = half << 1
-    while width < size:
-        block |= block << width
-        width <<= 1
-    return block & ((1 << size) - 1)
-
-
 def _masked_count(node: Node, free: list[int], fixed: dict[int, int]) -> int:
     size = 1 << len(free)
     full = (1 << size) - 1
     position = {v: i for i, v in enumerate(free)}
-    memo: dict[int, int] = {}
 
-    def walk(n: Node) -> int:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            if n.index in position:
-                out = _var_block(position[n.index], size)
-            else:
-                out = full if fixed[n.index] else 0
-        elif isinstance(n, Const):
-            out = full if n.value else 0
-        elif isinstance(n, Not):
-            out = walk(n.child) ^ full
-        elif isinstance(n, And):
-            out = full
-            for c in n.children:
-                out &= walk(c)
-                if not out:
-                    break
-        elif isinstance(n, Or):
-            out = 0
-            for c in n.children:
-                out |= walk(c)
-                if out == full:
-                    break
-        else:
-            out = walk(n.left) ^ walk(n.right)
-        memo[id(n)] = out
-        return out
+    def lane(i: int) -> int:
+        if i in position:
+            return _var_pattern(position[i] + 1, size)
+        return full if fixed[i] else 0
 
-    return walk(node).bit_count()
-
-
-def _evaluate_under(node: Node, fixed: dict[int, int]) -> int:
-    memo: dict[int, int] = {}
-
-    def walk(n: Node) -> int:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = fixed[n.index]
-        elif isinstance(n, Const):
-            out = n.value
-        elif isinstance(n, Not):
-            out = 1 - walk(n.child)
-        elif isinstance(n, And):
-            out = 1
-            for c in n.children:
-                if walk(c) == 0:
-                    out = 0
-                    break
-        elif isinstance(n, Or):
-            out = 0
-            for c in n.children:
-                if walk(c) == 1:
-                    out = 1
-                    break
-        else:
-            out = walk(n.left) ^ walk(n.right)
-        memo[id(n)] = out
-        return out
-
-    return walk(node)
+    return evaluate_lanes(node, lane, full).bit_count()
 
 
 def _replace_subtree(root: Node, target: Node, value: int) -> Node:
@@ -479,7 +412,7 @@ class ConditionalEvaluator:
         relevant = tuple(sorted((v, fixed[v]) for v in fixed if v in supp))
         free_count = len(supp) - len(relevant)
         if free_count == 0:
-            return Fraction(_evaluate_under(node, fixed))
+            return Fraction(evaluate_lanes(node, fixed.__getitem__, 1))
         key = (id(node), relevant)
         got = self._memo.get(key)
         if got is not None:

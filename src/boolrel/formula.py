@@ -23,7 +23,7 @@ parenthesised form; ``parse(render(f))`` reproduces the truth table of ``f``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -276,54 +276,12 @@ def support(node: Node) -> frozenset[int]:
 
 def substitute(node: Node, fixed: dict[int, int]) -> Node:
     """Replace variables by constants and fold.  Truth-preserving."""
-    memo: dict[int, Node] = {}
-
-    def walk(n: Node) -> Node:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = const(fixed[n.index]) if n.index in fixed else n
-        elif isinstance(n, Const):
-            out = n
-        elif isinstance(n, Not):
-            out = not_(walk(n.child))
-        elif isinstance(n, And):
-            out = and_(*(walk(c) for c in n.children))
-        elif isinstance(n, Or):
-            out = or_(*(walk(c) for c in n.children))
-        else:
-            out = xor(walk(n.left), walk(n.right))
-        memo[id(n)] = out
-        return out
-
-    return walk(node)
+    return compose_variables(node, {i: const(b) for i, b in fixed.items()})
 
 
 def shift_variables(node: Node, offset: int) -> Node:
     """Renumber every variable index by +offset."""
-    memo: dict[int, Node] = {}
-
-    def walk(n: Node) -> Node:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = var(n.index + offset)
-        elif isinstance(n, Const):
-            out = n
-        elif isinstance(n, Not):
-            out = not_(walk(n.child))
-        elif isinstance(n, And):
-            out = and_(*(walk(c) for c in n.children))
-        elif isinstance(n, Or):
-            out = or_(*(walk(c) for c in n.children))
-        else:
-            out = xor(walk(n.left), walk(n.right))
-        memo[id(n)] = out
-        return out
-
-    return walk(node)
+    return compose_variables(node, {i: var(i + offset) for i in support(node)})
 
 
 def compose_variables(node: Node, mapping: dict[int, Node]) -> Node:
@@ -675,10 +633,13 @@ def _var_pattern(index: int, size: int) -> int:
     return block & ((1 << size) - 1)
 
 
-def table_bits(node: Node, arity: int) -> int:
-    """Bit-parallel truth table of `node` over 2^arity assignments."""
-    size = 1 << arity
-    full = (1 << size) - 1
+def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
+    """Evaluate `node` on every bit position of the lanes at once.
+
+    `lane(i)` is the packed column of x_i (bit s is x_i in assignment s) and
+    `full` is the all-ones mask over the positions; the result is the packed
+    column of the node's values.
+    """
     memo: dict[int, int] = {}
 
     def walk(n: Node) -> int:
@@ -686,7 +647,7 @@ def table_bits(node: Node, arity: int) -> int:
         if got is not None:
             return got
         if isinstance(n, Var):
-            out = _var_pattern(n.index, size)
+            out = lane(n.index)
         elif isinstance(n, Const):
             out = full if n.value else 0
         elif isinstance(n, Not):
@@ -695,16 +656,26 @@ def table_bits(node: Node, arity: int) -> int:
             out = full
             for c in n.children:
                 out &= walk(c)
+                if not out:
+                    break
         elif isinstance(n, Or):
             out = 0
             for c in n.children:
                 out |= walk(c)
+                if out == full:
+                    break
         else:
             out = walk(n.left) ^ walk(n.right)
         memo[id(n)] = out
         return out
 
     return walk(node)
+
+
+def table_bits(node: Node, arity: int) -> int:
+    """Bit-parallel truth table of `node` over 2^arity assignments."""
+    size = 1 << arity
+    return evaluate_lanes(node, lambda i: _var_pattern(i, size), (1 << size) - 1)
 
 
 def truth_table(f: Formula, enum_cap: int = DEFAULT_ENUM_CAP) -> TruthTable:

@@ -7,24 +7,31 @@ skipped only when a sound bound (conditioning on one more coordinate at most
 doubles a conditional probability) proves no witness can live below them, so
 pruning never changes the returned witness.
 
-Sampled operations draw n = ceil(2 ln 3 / gamma^2) assignments per run from a
-64-bit-seeded Mersenne Twister (``random.Random``).  Each sample consumes one
-word of fresh bits, one per free variable; the word's lowest bit feeds the
-smallest free index.  Sub-seeds for amplification rounds and per-candidate
-runs are derived by SHA-256 over "seed:tag" strings, so every transcript
-replays byte-identically from the run seed.
+Sampled operations draw n = ceil(2 ln 3 / gamma^2) assignments per run (exact,
+at most DEFAULT_SAMPLE_CAP, else SampleCapExceeded before any draw) from a
+64-bit-seeded Mersenne Twister (``random.Random``).  Each sample is one
+``getrandbits(width)`` word, one bit per free variable, none when nothing is
+free; the word's lowest bit feeds the smallest free index.  The words are
+bit-sliced (transposed so that bit s of a variable's lane is its value in
+draw s) and the formula is evaluated once over the lanes of a block of
+draws.  Sub-seeds for amplification rounds and per-candidate runs are
+derived by SHA-256 over "seed:tag" strings, so every transcript replays
+byte-identically from the run seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
+from ._intmath import ln3_bounds
 from .counting import ConditionalEvaluator, DyadicProb
 from .formula import (
     Assignment,
@@ -33,6 +40,7 @@ from .formula import (
     Formula,
     SubsetMask,
     evaluate,
+    evaluate_lanes,
     parse,
 )
 
@@ -43,7 +51,9 @@ __all__ = [
     "SampleOutcome",
     "AmplifiedOutcome",
     "SearchCapExceeded",
+    "SampleCapExceeded",
     "DEFAULT_SEARCH_CAP",
+    "DEFAULT_SAMPLE_CAP",
     "sample_count",
     "is_delta_relevant",
     "decide_relevant_input",
@@ -59,10 +69,22 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_CAP = 20
+DEFAULT_SAMPLE_CAP = 1 << 20  # draws per run; gamma = 1/690 (n = 1046099) fits
+_DRAW_BLOCK = 1 << 12  # draws per bit-parallel pass: bounds the lanes' memory
 
 
 class SearchCapExceeded(EnumerationCapExceeded):
     """Subset search refused: the variable count exceeds the cap."""
+
+
+class SampleCapExceeded(EnumerationCapExceeded):
+    """Sampling refused: one run would need more draws than the cap."""
+
+    def __init__(self, gamma: Fraction):
+        self.gamma, self.cap = gamma, DEFAULT_SAMPLE_CAP
+        RuntimeError.__init__(
+            self, f"gamma = {gamma} needs more than {self.cap} draws per sampling run"
+        )
 
 
 class Verdict(str, Enum):
@@ -313,11 +335,34 @@ def solve_min_relevant_input(
 
 
 def sample_count(gamma: Fraction) -> int:
-    """n = ceil(2 ln 3 / gamma^2)."""
+    """n = ceil(2 ln 3 / gamma^2), exactly: 2 ln 3 / gamma^2 is irrational, so
+    narrowing the bounds on ln 3 ends with both giving the same ceiling."""
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive for sampling")
-    return math.ceil(2.0 * math.log(3.0) / float(gamma * gamma))
+    num, den = 2 * gamma.denominator**2, gamma.numerator**2
+    precision = max(64, num.bit_length() - den.bit_length() + 64)
+    while True:
+        lo, hi = (
+            -(-num * b.numerator // (den * b.denominator))
+            for b in ln3_bounds(precision)
+        )
+        if lo == hi:
+            return lo
+        precision *= 2
+
+
+def _capped_sample_count(gamma: Fraction) -> int:
+    """sample_count(gamma), refused above DEFAULT_SAMPLE_CAP.  As ln 3 > 1,
+    n > 2 / gamma^2 refuses a tiny gamma before ln 3 is narrowed for it."""
+    gamma = Fraction(gamma)
+    a, b = gamma.numerator, gamma.denominator
+    if a > 0 and DEFAULT_SAMPLE_CAP * a * a <= 2 * b * b:
+        raise SampleCapExceeded(gamma)
+    n = sample_count(gamma)
+    if n > DEFAULT_SAMPLE_CAP:
+        raise SampleCapExceeded(gamma)
+    return n
 
 
 def _subseed(seed: int, tag: str) -> int:
@@ -341,6 +386,19 @@ class AmplifiedOutcome:
     samples_per_round: int
 
 
+def _draw_lanes(rng: random.Random, width: int, m: int) -> list[int]:
+    """m draws of rng.getrandbits(width), transposed: bit s of lane j is bit
+    j of draw s."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(
+        [rng.getrandbits(width).to_bytes(nbytes, "little") for _ in range(m)]
+    )
+    words = np.frombuffer(raw, np.uint8).reshape(m, nbytes)
+    bits = np.unpackbits(words, axis=1, bitorder="little")[:, :width]
+    lanes = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in lanes]
+
+
 def _draw_successes(
     f: Formula,
     x: Assignment,
@@ -349,23 +407,17 @@ def _draw_successes(
     rng: random.Random,
     target: int,
 ) -> int:
-    d = x.length
-    base = x.bits
-    masks = []
-    for i in free:
-        base &= ~(1 << (i - 1))
-        masks.append(1 << (i - 1))
-    width = len(free)
+    """How many of n draws make f equal target.  Bit j of a draw sets
+    free[j], x sets the other variables; one bit-parallel pass per block."""
     successes = 0
-    for _ in range(n):
-        word = rng.getrandbits(width) if width else 0
-        bits = base
-        for mask in masks:
-            if word & 1:
-                bits |= mask
-            word >>= 1
-        if evaluate(f, Assignment(bits, d)) == target:
-            successes += 1
+    for start in range(0, n, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n - start)
+        full = (1 << m) - 1
+        lanes = dict(zip(free, _draw_lanes(rng, len(free), m))) if free else {}
+        ones = evaluate_lanes(
+            f.root, lambda i: lanes.get(i, full if x.bit(i) else 0), full
+        ).bit_count()
+        successes += ones if target else m - ones
     return successes
 
 
@@ -391,7 +443,7 @@ def sample_relevance(
         raise ValueError("need 0 < delta <= 1 and 0 < gamma < delta")
     indices = set(s.indices() if isinstance(s, SubsetMask) else tuple(s))
     free = tuple(i for i in range(1, f.arity + 1) if i not in indices)
-    n = sample_count(gamma)
+    n = _capped_sample_count(gamma)
     target = evaluate(f, x)
     rng = random.Random(seed)
     successes = _draw_successes(f, x, free, n, rng, target)
@@ -418,7 +470,7 @@ def amplified_sample_relevance(
         raise ValueError(f"rounds must be an odd positive integer, got {rounds}")
     indices = tuple(s.indices() if isinstance(s, SubsetMask) else tuple(s))
     yes = 0
-    n = sample_count(gamma)
+    n = _capped_sample_count(gamma)
     for r in range(rounds):
         outcome = sample_relevance(
             f, x, indices, delta, gamma, _subseed(seed, f"round-{r}")
@@ -453,22 +505,10 @@ def decide_gapped(
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
     _check_search_cap(f.arity, search_cap)
-    n = sample_count(gamma)
-    universe = tuple(range(1, f.arity + 1))
-
-    def candidates():
-        def combos(prefix, start, size):
-            if len(prefix) == size:
-                yield prefix
-                return
-            remaining = size - len(prefix)
-            for j in range(start, len(universe) - remaining + 1):
-                yield from combos(prefix + (universe[j],), j + 1, size)
-
-        for size in range(0, k + 1):
-            yield from combos((), 0, size)
-
-    for subset in candidates():
+    n = _capped_sample_count(gamma)
+    universe = range(1, f.arity + 1)
+    candidates = (c for size in range(k + 1) for c in combinations(universe, size))
+    for subset in candidates:
         tag = "set-" + ",".join(map(str, subset))
         outcome = amplified_sample_relevance(
             f, x, subset, delta, gamma, _subseed(seed, tag), rounds
@@ -506,7 +546,7 @@ def greedy_min_relevant(
     if gamma <= 0:
         raise ValueError("gamma must be positive for the greedy solver")
     d = f.arity
-    n = sample_count(gamma)
+    n = _capped_sample_count(gamma)
     target = evaluate(f, x)
     current: tuple[int, ...] = ()
 

@@ -19,6 +19,7 @@ from .formula import (
     EnumerationCapExceeded,
     Formula,
     SubsetMask,
+    _var_pattern,
     evaluate,
     table_bits,
 )
@@ -102,8 +103,6 @@ def shapley_values(
     full = (1 << size) - 1
     match = []
     for i in range(1, d + 1):
-        from .formula import _var_pattern
-
         pattern = _var_pattern(i, size)
         match.append(pattern if x.bit(i) else pattern ^ full)
     cube = [0] * (1 << d)

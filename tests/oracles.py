@@ -95,3 +95,20 @@ def random_formula(rng: random.Random, d: int, budget: int = 12) -> Formula:
 
 def random_assignment(rng: random.Random, d: int) -> Assignment:
     return Assignment(rng.getrandbits(d) if d else 0, d)
+
+
+def naive_draw_successes(
+    f: Formula, x: Assignment, free, n: int, rng: random.Random, target: int
+) -> int:
+    """Reference sampler: one getrandbits(len(free)) word per draw (none when
+    nothing is free), bit j of the word sets free[j], and each draw is
+    evaluated on its own Assignment."""
+    successes = 0
+    for _ in range(n):
+        word = rng.getrandbits(len(free)) if free else 0
+        y = x
+        for j, i in enumerate(free):
+            y = y.with_bit(i, (word >> j) & 1)
+        if evaluate(f, y) == target:
+            successes += 1
+    return successes

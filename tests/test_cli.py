@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from boolrel.cli import (
     EXIT_CAP,
@@ -120,6 +121,18 @@ class TestCapRefusal:
         )
         assert code == EXIT_CAP
 
+    def test_sample_cap_exit_code(self):
+        # gamma = 1e-9 would need about 2.2e18 draws.
+        start = time.perf_counter()
+        code, report = invoke(
+            "sample", "--formula", "(x1&x2)|!x3", "--x", "110", "--set", "",
+            "--delta", "3/4", "--gamma", "1e-9", "--seed", "1",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAP
+        assert report["exit_code"] == EXIT_CAP
+        assert report["error"]["kind"] == "cap"
+
 
 class TestSampling:
     def test_sample_yes(self):
@@ -222,6 +235,17 @@ class TestReduceAndVerify:
         assert inst["kind"] == "ip3"
         assert inst["k"] == 4  # d=2: q=2, k'=4
         assert "layout" in inst
+
+    def test_verify_on_report_files_is_usage(self, tmp_path):
+        # A whole reduce report, not its result.instance, is not an instance.
+        _, report = invoke(
+            "reduce", "emajsat-ip1", "--formula", "x1 & (x2 | x3)", "--k", "1"
+        )
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, report = invoke("verify", "--source", str(path), "--reduced", str(path))
+        assert code == EXIT_USAGE
+        assert report["error"]["kind"] == "usage"
 
     def test_verify_mismatch_is_usage(self, tmp_path):
         a = tmp_path / "a.json"

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from boolrel._intmath import (
     ceil_log2,
     floor_log2,
+    ln3_bounds,
     nth_root_ceil,
     nth_root_floor,
     pow_bounds,
@@ -91,3 +93,14 @@ class TestPowBounds:
     def test_zero_base(self):
         assert pow_bounds(0, Fraction(1, 2)) == (0, 0)
         assert pow_bounds(0, Fraction(0)) == (1, 1)
+
+
+class TestLn3Bounds:
+    def test_encloses_ln3_within_width(self):
+        with localcontext() as ctx:
+            ctx.prec = 400
+            ln3 = Fraction(Decimal(3).ln())
+        for precision in (0, 1, 2, 7, 53, 64, 100, 257, 1000):
+            lo, hi = ln3_bounds(precision)
+            assert lo <= ln3 <= hi
+            assert hi - lo <= Fraction(1, 1 << precision)

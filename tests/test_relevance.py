@@ -1,11 +1,29 @@
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from boolrel.formula import Assignment, Formula, SubsetMask, const, parse
+import boolrel.relevance as relevance
+from boolrel.formula import (
+    FALSE,
+    Assignment,
+    Formula,
+    SubsetMask,
+    compose_variables,
+    const,
+    parse,
+    support,
+    var,
+    xor,
+    xor_all,
+)
 from boolrel.relevance import (
+    DEFAULT_SAMPLE_CAP,
     RelevanceQuery,
+    SampleCapExceeded,
     SearchCapExceeded,
     Verdict,
     amplified_sample_relevance,
@@ -21,7 +39,13 @@ from boolrel.relevance import (
     solve_ip3,
     solve_min_relevant_input,
 )
-from oracles import naive_agreement, random_assignment, random_formula
+from oracles import (
+    naive_agreement,
+    naive_draw_successes,
+    random_assignment,
+    random_formula,
+    random_formula_node,
+)
 
 FIG1 = parse("(x1 & x2) | !x3")
 X110 = Assignment.from_string("110")
@@ -166,8 +190,27 @@ class TestSolveMinRelevantInput:
 
 class TestSampler:
     def test_sample_counts(self):
+        assert sample_count(Fraction(1, 5)) == 55
         assert sample_count(Fraction(1, 10)) == 220
         assert sample_count(Fraction(1, 20)) == 879
+
+    def test_sample_count_exact_where_floats_are_not(self):
+        # n is about 2.2e18, past 2^53: the float formula rounds it to a
+        # multiple of 512 (2197224577336219392).
+        gamma = Fraction("1e-9")
+        assert sample_count(gamma) == 2197224577336219383
+        assert sample_count(gamma) != math.ceil(
+            2.0 * math.log(3.0) / float(gamma * gamma)
+        )
+
+    def test_sample_count_against_decimal_ln3(self):
+        rng = random.Random(12)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            two_ln3 = Fraction(2 * Decimal(3).ln())
+        for _ in range(200):
+            gamma = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9))
+            assert sample_count(gamma) == math.ceil(two_ln3 / (gamma * gamma))
 
     def test_constant_formula_always_agrees(self):
         f = Formula(const(1), 5)
@@ -224,6 +267,88 @@ class TestSampler:
             if out.verdict is Verdict.YES:  # truth: 1/2 < 0.65, should be No
                 errors += 1
         assert errors / trials < 1 / 3
+
+
+def _transcript_case(rng, width):
+    """Formula over x1..x(width+2) with width free variables.  The fixed
+    x(width+2) is outside the support; the other fixed variable, the first
+    and last free ones and those at the 64-bit word edges are inside it."""
+    d = width + 2
+    fixed_in = rng.randint(1, d - 1)
+    free = tuple(i for i in range(1, d) if i != fixed_in)
+    body = FALSE
+    if width:
+        rename = {j + 1: var(i) for j, i in enumerate(free)}
+        body = compose_variables(random_formula_node(rng, width, 16), rename)
+    edges = [free[j] for j in sorted({0, 63, 64, width - 1}) if 0 <= j < width]
+    root = xor(body, xor_all(var(i) for i in [fixed_in] + edges))
+    assert d not in support(root) and {fixed_in, *edges} <= support(root)
+    return Formula(root, d), random_assignment(rng, d), free
+
+
+class TestBitSlicedSampler:
+    def test_transcript_matches_per_draw_reference(self):
+        rng = random.Random(2025)
+        for width in (0, 1, 63, 64, 65, 130):
+            for n in (1, 7, 8, 55, 879):
+                f, x, free = _transcript_case(rng, width)
+                assert len(free) == width
+                target = rng.randint(0, 1)
+                seed = rng.getrandbits(64)
+                fast, slow = random.Random(seed), random.Random(seed)
+                got = relevance._draw_successes(f, x, free, n, fast, target)
+                want = naive_draw_successes(f, x, free, n, slow, target)
+                assert got == want, (width, n)
+                assert fast.getrandbits(32) == slow.getrandbits(32), (width, n)
+
+    def test_blocks_of_draws(self):
+        # Runs longer than one bit-parallel block, split at its edges.
+        rng = random.Random(31)
+        f, x, free = _transcript_case(rng, 9)
+        block = relevance._DRAW_BLOCK
+        for n in (block - 1, block, block + 1, 2 * block + 5):
+            fast, slow = random.Random(n), random.Random(n)
+            got = relevance._draw_successes(f, x, free, n, fast, 1)
+            assert got == naive_draw_successes(f, x, free, n, slow, 1)
+            assert fast.getrandbits(32) == slow.getrandbits(32)
+
+    def test_cap_sized_run(self):
+        # gamma = 1/690 is the largest unit fraction within the cap.
+        gamma = Fraction(1, 690)
+        n = sample_count(gamma)
+        assert n <= DEFAULT_SAMPLE_CAP < sample_count(Fraction(1, 691))
+        f = parse("x1 ^ x64")
+        x = Assignment.zeros(64)
+        out = sample_relevance(f, x, [], Fraction(1, 2), gamma, seed=8)
+        assert out.samples == n
+        rng = random.Random(8)
+        words = (rng.getrandbits(64) for _ in range(n))
+        assert out.successes == sum(((w ^ (w >> 63)) & 1) == 0 for w in words)
+
+
+class TestSampleCap:
+    def test_refused_before_any_draw(self, monkeypatch):
+        class NoDraws(random.Random):
+            def getrandbits(self, k):
+                raise AssertionError("drew before the cap check")
+
+        monkeypatch.setattr(relevance, "random", SimpleNamespace(Random=NoDraws))
+        gamma, delta = Fraction("1e-9"), Fraction(3, 4)
+        calls = [
+            lambda: sample_relevance(FIG1, X110, [1], delta, gamma, 1),
+            lambda: amplified_sample_relevance(
+                FIG1, X110, [1], delta, gamma, 1, rounds=3
+            ),
+            lambda: decide_gapped(FIG1, X110, 1, delta, gamma, 1, rounds=3),
+            lambda: greedy_min_relevant(FIG1, X110, delta, gamma, 1, rounds=3),
+        ]
+        for call in calls:
+            with pytest.raises(SampleCapExceeded):
+                call()
+
+    def test_just_above_cap(self):
+        with pytest.raises(SampleCapExceeded):
+            sample_relevance(FIG1, X110, [], Fraction(1, 2), Fraction(1, 691), 1)
 
 
 class TestAmplified:
