@@ -11,6 +11,7 @@ Exit codes: 0 Yes/success, 1 No, 2 Indeterminate or outside-promise,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,11 +132,16 @@ def _prob_json(p: DyadicProb) -> dict:
 def _load_instance_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError as err:
         raise UsageError(f"instance file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"instance file is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise UsageError(
+            f"instance file must hold a JSON object, got {type(data).__name__}"
+        )
+    return data
 
 
 def _load_problem(path: str) -> ProblemInstance:
@@ -586,7 +592,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and building it costs milliseconds."""
     parser = _Parser(prog="boolrel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,10 @@ bit-parallel enumeration:
 
 Conditioning on y_S = x_S is handled without rebuilding ASTs: fixed variables
 are carried beside the nodes and resolved during enumeration.
+
+For formulas of at most TABLE_CAP variables, `coalition_counts` gives the
+exact conditional count of every subset S at once: a superset-sum (fast
+zeta) transform over an integer table, O(d 2^d).
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .formula import (
     And,
@@ -59,6 +65,9 @@ __all__ = [
     "DyadicProb",
     "Decomposition",
     "ConditionalEvaluator",
+    "TABLE_CAP",
+    "coalition_counts",
+    "rank_sizes",
     "satisfaction_probability",
     "conditional_agreement_probability",
     "conditional_satisfaction_probability",
@@ -68,6 +77,9 @@ __all__ = [
 # Free-variable blocks up to this size are enumerated directly; larger ones
 # go through the decomposition devices first.
 _LEAF_BITS = 14
+
+# Widest formula given an all-coalitions table: 2^20 int32 counts, 4 MiB.
+TABLE_CAP = 20
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +271,69 @@ def _masked_count(node: Node, free: list[int], fixed: dict[int, int]) -> int:
         return full if fixed[i] else 0
 
     return evaluate_lanes(node, lane, full).bit_count()
+
+
+def rank_sizes(k: int) -> np.ndarray:
+    """sizes[r] = popcount(r) for r < 2^k, as uint8."""
+    sizes = np.zeros(1 << k, dtype=np.uint8)
+    for b in range(k):
+        sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
+    return sizes
+
+
+def _superset_sum(table: np.ndarray, bits: Iterable[int]) -> None:
+    """In place, for each bit b: table[r] += table[r | 2^b] where r lacks b."""
+    for b in bits:
+        pairs = table.reshape(-1, 2, 1 << b)
+        pairs[:, 0] += pairs[:, 1]
+
+
+# _BYTE_SUPERSETS[v] is the superset sum of byte v's 8 bits over 3 bit
+# positions: a lookup that unpacks a lane and does the first 3 steps at once.
+_BYTE_SUPERSETS = np.unpackbits(
+    np.arange(256, dtype=np.uint8), bitorder="little"
+).astype(np.int32)
+_superset_sum(_BYTE_SUPERSETS, range(3))
+_BYTE_SUPERSETS = _BYTE_SUPERSETS.reshape(256, 8)
+
+
+def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
+    """c[r] = #{y : y_S = x_S, f(y) = value} for every subset S of [d].
+
+    S has rank r = sum of 2^(d-i) over i in S: x1 is the top bit, and among
+    sets of one size the lexicographically first sorted tuple has the largest
+    rank.  y agrees with x on S exactly when S lies inside the set T where y
+    and x agree, so c is the superset sum of h[T] = [f(y_T) = value], y_T
+    being x with every variable outside T flipped.  h is evaluated in blocks
+    of 2^_LEAF_BITS positions (the top-rank variables fixed per block) and
+    the sum is taken in place, one variable at a time.  int32 holds every
+    count up to d = 30; callers cap d lower.
+    """
+    d = f.arity
+    low = min(d, _LEAF_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    # Position p of a block lies in T for a low-rank variable i iff bit d-i
+    # of p is set, and y_T = x there.
+    lanes = {
+        i: _var_pattern(d - i + 1, size) ^ (0 if x.bit(i) else full)
+        for i in range(d - low + 1, d + 1)
+    }
+    counts = np.empty(1 << d, dtype=np.int32)
+    for block in range(1 << (d - low)):
+        for i in range(1, d - low + 1):
+            inside = (block >> (d - low - i)) & 1
+            lanes[i] = full if x.bit(i) == inside else 0
+        out = evaluate_lanes(f.root, lanes.__getitem__, full)
+        if not value:
+            out ^= full
+        packed = np.frombuffer(out.to_bytes((size + 7) // 8, "little"), np.uint8)
+        # Blocks under 8 positions leave the byte's top bits 0: they add nothing.
+        counts[block * size : (block + 1) * size] = _BYTE_SUPERSETS[packed].ravel()[
+            :size
+        ]
+    _superset_sum(counts, range(min(3, low), d))
+    return counts
 
 
 def _replace_subtree(root: Node, target: Node, value: int) -> Node:

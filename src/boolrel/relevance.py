@@ -1,11 +1,14 @@
 """Relevance decision problems, exact and sampled.
 
 Exact operations compare dyadic probabilities against rational thresholds
-with integer arithmetic.  Subset searches enumerate candidates in
-size-then-lexicographic order and return the first witness; branches are
-skipped only when a sound bound (conditioning on one more coordinate at most
-doubles a conditional probability) proves no witness can live below them, so
-pruning never changes the returned witness.
+with integer arithmetic.  Subset searches return the first witness in
+size-then-lexicographic order.  A formula of d <= min(TABLE_CAP, enum_cap)
+variables is searched in its coalition table (counting.coalition_counts):
+every subset's count is compared with the per-size integer threshold and the
+smallest size's largest rank wins.  Wider formulas run a subset DFS whose
+branches are skipped only when a sound bound (conditioning on one more
+coordinate at most doubles a conditional probability) proves no witness can
+live below them, so pruning never changes the returned witness.
 
 Sampled operations draw n = ceil(2 ln 3 / gamma^2) assignments per run (exact,
 at most DEFAULT_SAMPLE_CAP, else SampleCapExceeded before any draw) from a
@@ -32,7 +35,13 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from ._intmath import ln3_bounds
-from .counting import ConditionalEvaluator, DyadicProb
+from .counting import (
+    TABLE_CAP,
+    ConditionalEvaluator,
+    DyadicProb,
+    coalition_counts,
+    rank_sizes,
+)
 from .formula import (
     Assignment,
     DEFAULT_ENUM_CAP,
@@ -71,6 +80,7 @@ __all__ = [
 DEFAULT_SEARCH_CAP = 20
 DEFAULT_SAMPLE_CAP = 1 << 20  # draws per run; gamma = 1/690 (n = 1046099) fits
 _DRAW_BLOCK = 1 << 12  # draws per bit-parallel pass: bounds the lanes' memory
+_SCAN_BITS = 14  # coalition-table ranks compared per block
 
 
 class SearchCapExceeded(EnumerationCapExceeded):
@@ -258,17 +268,77 @@ def _first_witness(
     return None
 
 
-def _agreement_prob_fn(
-    f: Formula, x: Assignment, enum_cap: int
-) -> Callable[[tuple[int, ...]], Fraction]:
+def _count_threshold(threshold: Fraction, free: int, strict: bool) -> int:
+    """Least count c with c / 2^free meeting the threshold, clipped to
+    0..2^free + 1 (2^free + 1 accepts nothing)."""
+    scaled = threshold.numerator << free
+    least = scaled // threshold.denominator + 1 if strict else -(
+        -scaled // threshold.denominator
+    )
+    return min(max(least, 0), (1 << free) + 1)
+
+
+def _table_witness(
+    counts: np.ndarray,
+    d: int,
+    max_size: int,
+    threshold: Fraction,
+    strict: bool,
+) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    """_first_witness read off a coalition table over the first k variables
+    (2^k entries, x1 the top bit) of a d-variable formula.
+
+    Scans blocks from the top rank down, so the first hit of a size is its
+    lexicographically first set; later blocks only look for smaller sizes.
+    """
+    k = len(counts).bit_length() - 1
+    need = np.array(
+        [_count_threshold(threshold, d - s, strict) for s in range(k + 1)]
+    )
+    low = min(k, _SCAN_BITS)
+    low_sizes = rank_sizes(low)
+    best, limit = None, min(max_size, k)
+    for block in range((1 << (k - low)) - 1, -1, -1):
+        sizes = low_sizes + block.bit_count()
+        start = block << low
+        hit = (counts[start : start + (1 << low)] >= need[sizes]) & (sizes <= limit)
+        if hit.any():
+            size = int(sizes[hit].min())
+            best = start + int(np.flatnonzero(hit & (sizes == size))[-1]), size
+            limit = size - 1
+    if best is None:
+        return None
+    rank, size = best
+    witness = tuple(i for i in range(1, k + 1) if (rank >> (k - i)) & 1)
+    return witness, Fraction(int(counts[rank]), 1 << (d - size))
+
+
+def _witness_search(
+    f: Formula, x: Assignment, target: int, width: int, enum_cap: int
+) -> Callable[[int, Fraction, bool], Optional[tuple[tuple[int, ...], Fraction]]]:
+    """first(max_size, threshold, strict): the first subset S of x1..x_width
+    with P(f(y) = target | y_S = x_S) meeting the threshold, as (S, P).
+
+    Formulas of d <= min(TABLE_CAP, enum_cap) variables build one coalition
+    table and slice out the subsets of x1..x_width (ranks that are multiples
+    of 2^(d-width)); wider ones run the pruned subset DFS.
+    """
+    d = f.arity
+    if d <= min(TABLE_CAP, enum_cap):
+        counts = coalition_counts(f, x, target)[:: 1 << (d - width)]
+        return lambda max_size, threshold, strict: _table_witness(
+            counts, d, max_size, threshold, strict
+        )
     ev = ConditionalEvaluator(f, enum_cap)
-    target = evaluate(f, x)
 
     def prob(indices: tuple[int, ...]) -> Fraction:
         p1 = ev.satisfaction({i: x.bit(i) for i in indices})
         return p1 if target == 1 else 1 - p1
 
-    return prob
+    universe = tuple(range(1, width + 1))
+    return lambda max_size, threshold, strict: _first_witness(
+        universe, max_size, prob, threshold, strict
+    )
 
 
 def _check_search_cap(d: int, search_cap: int):
@@ -295,8 +365,8 @@ def decide_relevant_input(
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     _check_search_cap(f.arity, search_cap)
-    prob = _agreement_prob_fn(f, x, enum_cap)
-    hit = _first_witness(tuple(range(1, f.arity + 1)), k, prob, delta, strict=False)
+    search = _witness_search(f, x, evaluate(f, x), f.arity, enum_cap)
+    hit = search(k, delta, False)
     if hit is None:
         return RelevanceReport(Verdict.NO, None, "exact-search")
     witness, p = hit
@@ -321,10 +391,8 @@ def solve_min_relevant_input(
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     _check_search_cap(f.arity, search_cap)
-    prob = _agreement_prob_fn(f, x, enum_cap)
-    hit = _first_witness(
-        tuple(range(1, f.arity + 1)), f.arity, prob, delta, strict=False
-    )
+    search = _witness_search(f, x, evaluate(f, x), f.arity, enum_cap)
+    hit = search(f.arity, delta, False)
     assert hit is not None  # the full set is always 1-relevant
     witness, _ = hit
     return len(witness), SubsetMask.from_indices(witness, f.arity)
@@ -624,13 +692,8 @@ def solve_ip1(
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
     _check_search_cap(f.arity, search_cap)
-    ev = ConditionalEvaluator(f, enum_cap)
-
-    def prob(indices: tuple[int, ...]) -> Fraction:
-        return ev.satisfaction({i: x.bit(i) for i in indices})
-
-    hit = _first_witness(tuple(range(1, k + 1)), k, prob, Fraction(1, 2), strict=True)
-    return hit is not None
+    search = _witness_search(f, x, 1, k, enum_cap)
+    return search(k, Fraction(1, 2), True) is not None
 
 
 def solve_ip2(
@@ -646,13 +709,8 @@ def solve_ip2(
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
     _check_search_cap(f.arity, search_cap)
-    ev = ConditionalEvaluator(f, enum_cap)
-
-    def prob(indices: tuple[int, ...]) -> Fraction:
-        return ev.satisfaction({i: x.bit(i) for i in indices})
-
-    hit = _first_witness(tuple(range(1, k + 1)), k, prob, delta, strict=False)
-    return hit is not None
+    search = _witness_search(f, x, 1, k, enum_cap)
+    return search(k, delta, False) is not None
 
 
 def solve_ip3(
@@ -676,10 +734,9 @@ def solve_ip3(
     if not 0 < delta <= 1 or not 0 <= gamma < delta:
         raise ValueError("need 0 < delta <= 1 and 0 <= gamma < delta")
     _check_search_cap(f.arity, search_cap)
-    prob = _agreement_prob_fn(f, x, enum_cap)
-    universe = tuple(range(1, f.arity + 1))
-    if _first_witness(universe, k, prob, delta, strict=False) is not None:
+    search = _witness_search(f, x, evaluate(f, x), f.arity, enum_cap)
+    if search(k, delta, False) is not None:
         return Verdict.YES
-    if _first_witness(universe, m, prob, delta - gamma, strict=False) is None:
+    if search(m, delta - gamma, False) is None:
         return Verdict.NO
     return Verdict.INDETERMINATE

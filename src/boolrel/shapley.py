@@ -2,26 +2,35 @@
 
 The characteristic function values a coalition S at the conditional mean of
 the function given y_S = x_S, minus the unconditional mean.  Everything is
-exponential-time and exact: factorial weights are Fractions, so efficiency
-and the relevance identity can be asserted with equality.
+exponential-time and exact: the Shapley vector is an integer sum over the
+coalition table with common denominator d! 2^d, so efficiency and the
+relevance identity can be asserted with equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
-from .counting import ConditionalEvaluator, DyadicProb
+import numpy as np
+
+from .counting import (
+    TABLE_CAP,
+    ConditionalEvaluator,
+    DyadicProb,
+    coalition_counts,
+    rank_sizes,
+)
 from .formula import (
     Assignment,
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     Formula,
     SubsetMask,
-    _var_pattern,
     evaluate,
-    table_bits,
+    table_bits,  # unused here; perfbench/tracing.py wraps shapley.table_bits
 )
 
 __all__ = [
@@ -35,7 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_SINGLE_CAP = 16
-DEFAULT_VECTOR_CAP = 12
+DEFAULT_VECTOR_CAP = TABLE_CAP
 
 
 @dataclass(frozen=True)
@@ -90,58 +99,36 @@ def characteristic_value(
 def shapley_values(
     f: Formula, x: Assignment, vector_cap: int = DEFAULT_VECTOR_CAP
 ) -> ShapleyVector:
-    """phi_i = sum over S avoiding i of |S|!(d-|S|-1)!/d! (nu(S+i) - nu(S))."""
+    """phi_i = sum over S avoiding i of |S|!(d-|S|-1)!/d! (nu(S+i) - nu(S)).
+
+    With c(S) = #{y : y_S = x_S, f(y) = 1} from the coalition table,
+    nu(S) = c(S) / 2^(d-|S|) - E(f), so
+    phi_i d! 2^d = sum over S avoiding i of |S|!(d-|S|-1)! 2^|S| (2c(S+i) - c(S)).
+    The differences are summed per |S| in int64 and weighted by Python ints.
+    """
     d = f.arity
     if d > vector_cap:
         raise EnumerationCapExceeded(d, vector_cap, "Shapley enumeration")
     if x.length != d:
         raise ValueError("assignment length does not match arity")
-    size = 1 << d
-    tt = table_bits(f.root, d)
-
-    # Conditional satisfying counts for every coalition, by cube masking.
-    full = (1 << size) - 1
-    match = []
-    for i in range(1, d + 1):
-        pattern = _var_pattern(i, size)
-        match.append(pattern if x.bit(i) else pattern ^ full)
-    cube = [0] * (1 << d)
-    cube[0] = full
-    for m in range(1, 1 << d):
-        low = m & -m
-        cube[m] = cube[m ^ low] & match[low.bit_length() - 1]
-    count = [(tt & cube[m]).bit_count() for m in range(1 << d)]
-
-    expectation = Fraction(count[0], size)
-
-    def nu(m: int) -> Fraction:
-        free = d - m.bit_count()
-        return Fraction(count[m], 1 << free) - expectation
-
-    weight = [
-        Fraction(1, 1)
-        * _factorial(s)
-        * _factorial(d - s - 1)
-        / _factorial(d)
-        for s in range(d)
-    ]
+    counts = coalition_counts(f, x, 1)
+    sizes = rank_sizes(d)
+    weight = [factorial(s) * factorial(d - s - 1) << s for s in range(d)]
+    denominator = factorial(d) << d
     values = []
-    for i in range(d):
-        bit = 1 << i
-        total = Fraction(0)
-        for m in range(1 << d):
-            if m & bit:
-                continue
-            total += weight[m.bit_count()] * (nu(m | bit) - nu(m))
-        values.append(total)
-    return ShapleyVector(tuple(values), grand_value=nu((1 << d) - 1))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    for i in range(1, d + 1):
+        # Axis 1 splits on x_i's bit (d - i): S at 0, S + i at 1.
+        pairs = counts.reshape(-1, 2, 1 << (d - i))
+        by_size = np.zeros(d, dtype=np.int64)
+        np.add.at(
+            by_size,
+            sizes.reshape(pairs.shape)[:, 0],
+            2 * pairs[:, 1].astype(np.int64) - pairs[:, 0],
+        )
+        total = sum(w * int(t) for w, t in zip(weight, by_size))
+        values.append(Fraction(total, denominator))
+    grand = int(counts[-1]) - Fraction(int(counts[0]), 1 << d)
+    return ShapleyVector(tuple(values), grand_value=grand)
 
 
 def relevance_from_characteristic(

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+from boolrel import cli
 from boolrel.cli import (
     EXIT_CAP,
     EXIT_NO,
@@ -103,6 +104,29 @@ class TestUsageErrors:
         code, _ = invoke("frobnicate")
         assert code == EXIT_USAGE
 
+    def test_non_object_instance_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for argv in (
+            ("check", "--instance", str(path)),
+            ("verify", "--source", str(path), "--reduced", str(path)),
+        ):
+            code, report = invoke(*argv)
+            assert code == EXIT_USAGE
+            assert report["error"]["kind"] == "usage"
+            assert "JSON object" in report["error"]["reason"]
+
+    def test_shared_parser_after_usage_error(self):
+        argv = [
+            "decide", "--formula", "(x1&x2)|!x3", "--x", "110", "--k", "1",
+            "--delta", "1",
+        ]
+        cli._build_parser.cache_clear()
+        fresh = run(argv)
+        assert run(["decide", "--formula", "x1", "--k", "one"])[0] == EXIT_USAGE
+        assert run(argv) == fresh
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestCapRefusal:
     def test_enum_cap_exit_code(self):
@@ -112,6 +136,16 @@ class TestCapRefusal:
         code, report = invoke("prob", "--formula", big, "--enum-cap", "12")
         assert code == EXIT_CAP
         assert report["error"]["kind"] == "cap"
+
+    def test_search_cap_21_runs_subset_search(self):
+        # d = 21 is above the coalition-table cap: the subset DFS answers.
+        code, report = invoke(
+            "decide", "--formula", "(x1 & x2) | x21", "--x", "0" * 20 + "1",
+            "--k", "1", "--delta", "1", "--search-cap", "21",
+        )
+        assert code == EXIT_YES
+        assert report["result"]["witness"] == [21]
+        assert report["result"]["probability"]["fraction"] == "1"
 
     def test_search_cap_exit_code(self):
         formula = " | ".join(f"x{i}" for i in range(1, 25))
@@ -288,6 +322,15 @@ class TestMiscCommands:
     def test_shapley(self):
         code, report = invoke("shapley", "--formula", "x1", "--x", "1")
         assert report["result"]["phi"] == ["1/2"]
+        assert report["result"]["efficiency_check"] is True
+
+    def test_shapley_d13(self):
+        code, report = invoke(
+            "shapley", "--formula", "(x1 & x2) | (x7 ^ x13)", "--x", "1" * 13
+        )
+        assert code == EXIT_YES
+        phi = report["result"]["phi"]
+        assert len(phi) == 13 and phi[2] == "0"
         assert report["result"]["efficiency_check"] is True
 
     def test_compile_relu(self):

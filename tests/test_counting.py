@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import boolrel.counting as counting
 from boolrel.counting import (
     ConditionalEvaluator,
     DyadicProb,
     conditional_agreement_probability,
     conditional_satisfaction_probability,
     decompose_independent,
+    coalition_counts,
     satisfaction_probability,
 )
 from boolrel.formula import (
@@ -328,3 +330,57 @@ class TestPlugSplit:
         p_payload = naive_probability(payload)
         want = p_payload + (1 - p_payload) * Fraction(1, 1 << 5)
         assert got == want
+
+
+def _subset_of_rank(r: int, d: int) -> list[int]:
+    return [i for i in range(1, d + 1) if (r >> (d - i)) & 1]
+
+
+class TestCoalitionCounts:
+    def test_rank_order(self):
+        # x1 is the top bit: {1} has rank 4 and {3} rank 1 at d = 3.
+        c = coalition_counts(parse("x1"), Assignment.from_string("0"), 1)
+        assert list(c) == [1, 0]
+        c = coalition_counts(Formula(var(1), 3), Assignment.from_string("100"), 1)
+        assert c[4] == 4 and c[1] == 2 and c[7] == 1
+
+    def test_matches_naive(self):
+        rng = random.Random(80)
+        for _ in range(60):
+            d = rng.randint(1, 7)
+            f = random_formula(rng, d, 10)
+            x = random_assignment(rng, d)
+            for value in (0, 1):
+                c = coalition_counts(f, x, value)
+                for r in range(1 << d):
+                    s = _subset_of_rank(r, d)
+                    p1 = naive_conditional_satisfaction(f, x, s)
+                    want = p1 if value else 1 - p1
+                    assert Fraction(int(c[r]), 1 << (d - len(s))) == want
+
+    def test_blocks_match_naive(self, monkeypatch):
+        # Two-bit blocks: most variables are fixed per block.
+        monkeypatch.setattr(counting, "_LEAF_BITS", 2)
+        rng = random.Random(81)
+        for _ in range(30):
+            d = rng.randint(1, 7)
+            f = random_formula(rng, d, 10)
+            x = random_assignment(rng, d)
+            c = coalition_counts(f, x, 1)
+            for r in range(1 << d):
+                s = _subset_of_rank(r, d)
+                assert Fraction(int(c[r]), 1 << (d - len(s))) == (
+                    naive_conditional_satisfaction(f, x, s)
+                )
+
+    def test_wide_table_matches_evaluator(self):
+        rng = random.Random(82)
+        d = 17  # three top-rank variables fixed per block
+        f = random_formula(rng, d, 40)
+        x = random_assignment(rng, d)
+        c = coalition_counts(f, x, 0)
+        ev = ConditionalEvaluator(f)
+        for r in [0, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(40)]:
+            s = _subset_of_rank(r, d)
+            want = 1 - ev.satisfaction({i: x.bit(i) for i in s})
+            assert Fraction(int(c[r]), 1 << (d - len(s))) == want

@@ -2,18 +2,24 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boolrel.relevance as relevance
 from boolrel.formula import (
+    DEFAULT_ENUM_CAP,
     FALSE,
     Assignment,
     Formula,
     SubsetMask,
+    and_,
     compose_variables,
     const,
+    not_,
+    or_,
     parse,
     support,
     var,
@@ -41,6 +47,7 @@ from boolrel.relevance import (
 )
 from oracles import (
     naive_agreement,
+    naive_conditional_satisfaction,
     naive_draw_successes,
     random_assignment,
     random_formula,
@@ -540,3 +547,126 @@ class TestRelevanceQuery:
             RelevanceQuery(f=FIG1, x=X110, k=9, delta=Fraction(1, 2))
         with pytest.raises(ValueError):
             RelevanceQuery(f=FIG1, x=X110, k=1, delta=Fraction(3, 2))
+
+
+# --------------------------------------------------------------------------
+# The coalition-table path against the subset DFS and the naive oracles.
+
+DELTAS = (Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(7, 8), Fraction(1, 3))
+
+
+@st.composite
+def instances(draw, max_d=8):
+    d = draw(st.integers(1, max_d))
+    leaves = st.one_of(st.integers(1, d).map(var), st.integers(0, 1).map(const))
+    nodes = st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            kids.map(not_),
+            st.lists(kids, min_size=2, max_size=3).map(lambda cs: and_(*cs)),
+            st.lists(kids, min_size=2, max_size=3).map(lambda cs: or_(*cs)),
+            st.tuples(kids, kids).map(lambda ab: xor(*ab)),
+        ),
+        max_leaves=14,
+    )
+    f = Formula(draw(nodes), d)
+    return f, Assignment(draw(st.integers(0, (1 << d) - 1)), d)
+
+
+def table_and_dfs(call):
+    """call() on the table path, then with the table cap forced to 0."""
+    table = call()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relevance, "TABLE_CAP", 0)
+        dfs = call()
+    return table, dfs
+
+
+def naive_witness(f, x, target, width, max_size, threshold, strict):
+    for size in range(max_size + 1):
+        for combo in combinations(range(1, width + 1), size):
+            p1 = naive_conditional_satisfaction(f, x, combo)
+            p = p1 if target else 1 - p1
+            if p > threshold if strict else p >= threshold:
+                return combo, p
+    return None
+
+
+class TestTableAndSearchPaths:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instances(), st.data())
+    def test_same_witness_and_probability(self, instance, data):
+        f, x = instance
+        width = data.draw(st.integers(0, f.arity))
+        max_size = data.draw(st.integers(0, width))
+        threshold = data.draw(st.sampled_from(DELTAS))
+        strict = data.draw(st.booleans())
+        target = data.draw(st.integers(0, 1))
+        args = (max_size, threshold, strict)
+        table, dfs = table_and_dfs(
+            lambda: relevance._witness_search(
+                f, x, target, width, DEFAULT_ENUM_CAP
+            )(*args)
+        )
+        assert table == dfs
+        assert table == naive_witness(f, x, target, width, *args)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances(), st.data())
+    def test_public_operations_agree(self, instance, data):
+        f, x = instance
+        k = data.draw(st.integers(1, f.arity))
+        m = data.draw(st.integers(k, f.arity))
+        delta = data.draw(st.sampled_from(DELTAS))
+        for call in (
+            lambda: decide_relevant_input(f, x, k, delta),
+            lambda: solve_min_relevant_input(f, x, delta),
+            lambda: solve_ip1(f, x, k),
+            lambda: solve_ip2(f, x, k, delta),
+            lambda: solve_ip3(f, x, k, m, delta, delta / 3),
+        ):
+            table, dfs = table_and_dfs(call)
+            assert table == dfs
+        want = naive_first_witness(f, x, k, delta)
+        report = decide_relevant_input(f, x, k, delta)
+        assert (report.witness.indices() if report.witness else None) == want
+
+    def test_ip1_strict_threshold_at_exactly_half(self):
+        # P(f) = 1/2 exactly at S = {}: only the strict test moves on to {1}.
+        f = Formula(var(1), 2)
+        x = Assignment.from_string("11")
+        hits = []
+        for strict in (False, True):
+            table, dfs = table_and_dfs(
+                lambda: relevance._witness_search(f, x, 1, 2, DEFAULT_ENUM_CAP)(
+                    2, Fraction(1, 2), strict
+                )
+            )
+            assert table == dfs
+            hits.append(table)
+        assert hits == [((), Fraction(1, 2)), ((1,), Fraction(1))]
+        assert solve_ip2(f, x, 1, Fraction(1, 2)) and solve_ip1(f, x, 1)
+        assert not solve_ip1(Formula(var(2), 2), x, 1)
+
+    def test_multi_block_table_matches_dfs(self):
+        rng = random.Random(90)
+        for d in (15, 16):
+            f = random_formula(rng, d, 30)
+            x = random_assignment(rng, d)
+            for delta in (Fraction(7, 8), Fraction(2, 3)):
+                table, dfs = table_and_dfs(
+                    lambda: decide_relevant_input(f, x, 2, delta)
+                )
+                assert table == dfs
+
+    def test_path_rule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("subset DFS ran")
+
+        monkeypatch.setattr(relevance, "_first_witness", refuse)
+        f = Formula(parse("(x1 & x2) | x20").root, 20)
+        x = Assignment.from_string("0" * 19 + "1")
+        report = decide_relevant_input(f, x, 1, Fraction(1))
+        assert report.witness.indices() == (20,)
+        with pytest.raises(AssertionError, match="subset DFS ran"):
+            decide_relevant_input(f, x, 1, Fraction(1), enum_cap=19)

@@ -1,17 +1,30 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from boolrel.formula import Assignment, EnumerationCapExceeded, Formula, parse, var
+from boolrel.formula import (
+    Assignment,
+    EnumerationCapExceeded,
+    Formula,
+    compose_variables,
+    parse,
+    var,
+)
 from boolrel.relevance import is_delta_relevant
 from boolrel.shapley import (
     characteristic_value,
     relevance_from_characteristic,
     shapley_values,
 )
-from oracles import naive_conditional_satisfaction, random_assignment, random_formula
+from oracles import (
+    naive_conditional_satisfaction,
+    random_assignment,
+    random_formula,
+    random_formula_node,
+)
 
 FIG1 = parse("(x1 & x2) | !x3")
 X110 = Assignment.from_string("110")
@@ -129,6 +142,52 @@ class TestShapleyValues:
                     totals[i - 1] += nu(seen) - before
             want = tuple(t / len(perms) for t in totals)
             assert shapley_values(f, x).values == want
+
+
+    @pytest.mark.parametrize("d", [13, 16])
+    def test_wide_against_characteristic_value(self, d):
+        # f reads three variables only; the others are null players, and the
+        # three players' values follow from nu on the 8 coalitions of R.
+        rng = random.Random(d)
+        players = sorted(rng.sample(range(1, d + 1), 3))
+        node = random_formula_node(rng, 3, 10)
+        f = Formula(
+            compose_variables(node, {j + 1: var(i) for j, i in enumerate(players)}),
+            d,
+        )
+        x = random_assignment(rng, d)
+        sv = shapley_values(f, x)
+        assert sv.is_efficient()
+        assert sv.grand_value == characteristic_value(f, x, range(1, d + 1)).value
+
+        def nu(coalition):
+            return characteristic_value(f, x, sorted(coalition)).value
+
+        for i in range(1, d + 1):
+            if i not in players:
+                assert sv.values[i - 1] == 0
+                continue
+            others = [j for j in players if j != i]
+            want = Fraction(0)
+            for size in range(3):
+                for s in combinations(others, size):
+                    weight = Fraction(
+                        math.factorial(size) * math.factorial(2 - size), 6
+                    )
+                    want += weight * (nu(s + (i,)) - nu(s))
+            assert sv.values[i - 1] == want
+
+    def test_wide_random_is_efficient(self):
+        rng = random.Random(21)
+        for d in (13, 16):
+            f = random_formula(rng, d, 40)
+            x = random_assignment(rng, d)
+            assert shapley_values(f, x).is_efficient()
+
+    def test_vector_cap(self):
+        f = Formula(var(1), 21)
+        with pytest.raises(EnumerationCapExceeded):
+            shapley_values(f, Assignment.zeros(21))
 
 
 class TestRelevanceIdentity:
