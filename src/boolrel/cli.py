@@ -5,7 +5,8 @@ with all result-influencing parameters echoed, so identical invocations
 (including the seed) produce byte-identical reports.
 
 Exit codes: 0 Yes/success, 1 No, 2 Indeterminate or outside-promise,
-64 usage error, 65 cap refusal.
+64 usage error, 65 cap refusal, 70 internal error (a JSON report, not a
+traceback).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -67,6 +69,7 @@ EXIT_NO = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_CAP = 65
+EXIT_INTERNAL = 70  # EX_SOFTWARE: an error the program does not expect
 
 
 class UsageError(ValueError):
@@ -770,6 +773,22 @@ def run(argv: list[str]) -> tuple[int, str, Optional[str]]:
             "exit_code": EXIT_CAP,
         }
         code = EXIT_CAP
+    except Exception as err:
+        # The one boundary every invocation crosses: whatever escapes the
+        # handlers (say, RecursionError on very deep formulas) still ends in
+        # a JSON report, never a traceback; the innermost frame says where.
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        report = {
+            "command": argv[0] if argv else None,
+            "error": {
+                "kind": "internal",
+                "reason": f"{type(err).__name__}: {err}",
+                "where": f"{os.path.basename(frame.filename)}:{frame.lineno}"
+                f" in {frame.name}",
+            },
+            "exit_code": EXIT_INTERNAL,
+        }
+        code = EXIT_INTERNAL
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return code, text, output
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -75,8 +75,9 @@ __all__ = [
 ]
 
 # Free-variable blocks up to this size are enumerated directly; larger ones
-# go through the decomposition devices first.
-_LEAF_BITS = 14
+# go through the decomposition devices first.  Also the block width of every
+# enumeration: 2^16 positions are 8 KiB per lane.
+_LEAF_BITS = 16
 
 # Widest formula given an all-coalitions table: 2^20 int32 counts, 4 MiB.
 TABLE_CAP = 20
@@ -260,17 +261,34 @@ def _freshen(root: Node):
 # Bit-parallel enumeration over the free variables of a node.
 
 
-def _masked_count(node: Node, free: list[int], fixed: dict[int, int]) -> int:
-    size = 1 << len(free)
+def _lane_blocks(
+    node: Node, free: list[int], base: dict[int, int]
+) -> Iterator[int]:
+    """Packed values of `node` at every position p < 2^len(free), by block.
+
+    At position p, variable free[j] is bit j of p XOR base.get(free[j], 0);
+    every other variable v is base[v].  Blocks hold 2^_LEAF_BITS positions
+    (fewer when fewer variables are free), in order of p: free[:_LEAF_BITS]
+    vary inside a block as pattern lanes and the rest are constant lanes,
+    fixed per block.  Each block's lanes are freed before the next is built,
+    so memory is bounded by the block, not by 2^len(free).
+    """
+    low = min(len(free), _LEAF_BITS)
+    size = 1 << low
     full = (1 << size) - 1
-    position = {v: i for i, v in enumerate(free)}
+    lanes = {v: full if b else 0 for v, b in base.items()}
+    for j, v in enumerate(free[:low]):
+        lanes[v] = _var_pattern(j + 1, size) ^ lanes.get(v, 0)
+    high = [(v, base.get(v, 0)) for v in free[low:]]
+    for block in range(1 << len(high)):
+        for j, (v, b) in enumerate(high):
+            lanes[v] = full if ((block >> j) & 1) ^ b else 0
+        yield evaluate_lanes(node, lanes.__getitem__, full)
 
-    def lane(i: int) -> int:
-        if i in position:
-            return _var_pattern(position[i] + 1, size)
-        return full if fixed[i] else 0
 
-    return evaluate_lanes(node, lane, full).bit_count()
+def _masked_count(node: Node, free: list[int], fixed: dict[int, int]) -> int:
+    """#{assignments to `free` satisfying node}, the rest read from `fixed`."""
+    return sum(out.bit_count() for out in _lane_blocks(node, free, fixed))
 
 
 def rank_sizes(k: int) -> np.ndarray:
@@ -313,18 +331,13 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
     low = min(d, _LEAF_BITS)
     size = 1 << low
     full = (1 << size) - 1
-    # Position p of a block lies in T for a low-rank variable i iff bit d-i
-    # of p is set, and y_T = x there.
-    lanes = {
-        i: _var_pattern(d - i + 1, size) ^ (0 if x.bit(i) else full)
-        for i in range(d - low + 1, d + 1)
-    }
     counts = np.empty(1 << d, dtype=np.int32)
-    for block in range(1 << (d - low)):
-        for i in range(1, d - low + 1):
-            inside = (block >> (d - low - i)) & 1
-            lanes[i] = full if x.bit(i) == inside else 0
-        out = evaluate_lanes(f.root, lanes.__getitem__, full)
+    # Bit j of a position is variable d - j; y = x there exactly when the
+    # bit is set, so each variable's lane is XORed with the complement of x.
+    blocks = _lane_blocks(
+        f.root, list(range(d, 0, -1)), {i: 1 - x.bit(i) for i in range(1, d + 1)}
+    )
+    for block, out in enumerate(blocks):
         if not value:
             out ^= full
         packed = np.frombuffer(out.to_bytes((size + 7) // 8, "little"), np.uint8)

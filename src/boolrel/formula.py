@@ -572,37 +572,41 @@ def evaluate(f: Formula, a: Assignment) -> int:
         raise ArityMismatchError(
             f"assignment length {a.length} does not match arity {f.arity}"
         )
-    memo: dict[int, int] = {}
-    bits = a.bits
+    return _evaluate_node(f.root, a.bits, {})
 
-    def walk(n: Node) -> int:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = (bits >> (n.index - 1)) & 1
-        elif isinstance(n, Const):
-            out = n.value
-        elif isinstance(n, Not):
-            out = 1 - walk(n.child)
-        elif isinstance(n, And):
-            out = 1
-            for c in n.children:
-                if walk(c) == 0:
-                    out = 0
-                    break
-        elif isinstance(n, Or):
-            out = 0
-            for c in n.children:
-                if walk(c) == 1:
-                    out = 1
-                    break
-        else:
-            out = walk(n.left) ^ walk(n.right)
-        memo[id(n)] = out
-        return out
 
-    return walk(f.root)
+# The two evaluators recurse through module-level functions that take their
+# memo as an argument: a nested function calling itself would be a reference
+# cycle, keeping the memo (for lanes, one big int per node) alive after the
+# call returns until the cyclic collector runs.
+
+
+def _evaluate_node(n: Node, bits: int, memo: dict[int, int]) -> int:
+    got = memo.get(id(n))
+    if got is not None:
+        return got
+    if isinstance(n, Var):
+        out = (bits >> (n.index - 1)) & 1
+    elif isinstance(n, Const):
+        out = n.value
+    elif isinstance(n, Not):
+        out = 1 - _evaluate_node(n.child, bits, memo)
+    elif isinstance(n, And):
+        out = 1
+        for c in n.children:
+            if _evaluate_node(c, bits, memo) == 0:
+                out = 0
+                break
+    elif isinstance(n, Or):
+        out = 0
+        for c in n.children:
+            if _evaluate_node(c, bits, memo) == 1:
+                out = 1
+                break
+    else:
+        out = _evaluate_node(n.left, bits, memo) ^ _evaluate_node(n.right, bits, memo)
+    memo[id(n)] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -638,38 +642,41 @@ def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
 
     `lane(i)` is the packed column of x_i (bit s is x_i in assignment s) and
     `full` is the all-ones mask over the positions; the result is the packed
-    column of the node's values.
+    column of the node's values.  The per-node lanes are freed on return.
     """
-    memo: dict[int, int] = {}
+    return _lanes_node(node, lane, full, {})
 
-    def walk(n: Node) -> int:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = lane(n.index)
-        elif isinstance(n, Const):
-            out = full if n.value else 0
-        elif isinstance(n, Not):
-            out = walk(n.child) ^ full
-        elif isinstance(n, And):
-            out = full
-            for c in n.children:
-                out &= walk(c)
-                if not out:
-                    break
-        elif isinstance(n, Or):
-            out = 0
-            for c in n.children:
-                out |= walk(c)
-                if out == full:
-                    break
-        else:
-            out = walk(n.left) ^ walk(n.right)
-        memo[id(n)] = out
-        return out
 
-    return walk(node)
+def _lanes_node(
+    n: Node, lane: Callable[[int], int], full: int, memo: dict[int, int]
+) -> int:
+    got = memo.get(id(n))
+    if got is not None:
+        return got
+    if isinstance(n, Var):
+        out = lane(n.index)
+    elif isinstance(n, Const):
+        out = full if n.value else 0
+    elif isinstance(n, Not):
+        out = _lanes_node(n.child, lane, full, memo) ^ full
+    elif isinstance(n, And):
+        out = full
+        for c in n.children:
+            out &= _lanes_node(c, lane, full, memo)
+            if not out:
+                break
+    elif isinstance(n, Or):
+        out = 0
+        for c in n.children:
+            out |= _lanes_node(c, lane, full, memo)
+            if out == full:
+                break
+    else:
+        out = _lanes_node(n.left, lane, full, memo) ^ _lanes_node(
+            n.right, lane, full, memo
+        )
+    memo[id(n)] = out
+    return out
 
 
 def table_bits(node: Node, arity: int) -> int:

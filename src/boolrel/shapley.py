@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 import numpy as np
@@ -43,7 +43,7 @@ __all__ = [
     "DEFAULT_VECTOR_CAP",
 ]
 
-DEFAULT_SINGLE_CAP = 16
+DEFAULT_SINGLE_CAP = TABLE_CAP
 DEFAULT_VECTOR_CAP = TABLE_CAP
 
 
@@ -104,7 +104,8 @@ def shapley_values(
     With c(S) = #{y : y_S = x_S, f(y) = 1} from the coalition table,
     nu(S) = c(S) / 2^(d-|S|) - E(f), so
     phi_i d! 2^d = sum over S avoiding i of |S|!(d-|S|-1)! 2^|S| (2c(S+i) - c(S)).
-    The differences are summed per |S| in int64 and weighted by Python ints.
+    The differences are summed per |S| in int64 (exact: |2c(S+i) - c(S)| <= 2^(d+1)
+    over at most 2^(d-1) sets) and weighted by Python ints.
     """
     d = f.arity
     if d > vector_cap:
@@ -112,19 +113,20 @@ def shapley_values(
     if x.length != d:
         raise ValueError("assignment length does not match arity")
     counts = coalition_counts(f, x, 1)
-    sizes = rank_sizes(d)
+    # Axis 1 of counts.reshape(-1, 2, 2^(d-i)) splits on x_i's bit: S at 0,
+    # S + i at 1.  The other two axes, flattened, rank S without bit d - i,
+    # so |S| is the popcount of that (d-1)-bit rank for every i: one sort by
+    # popcount (a radix sort on uint8 keys) makes each size a contiguous
+    # segment for all i.
+    by_popcount = np.argsort(rank_sizes(max(d - 1, 0)), kind="stable")
+    starts = np.cumsum([0] + [comb(d - 1, s) for s in range(d - 1)])
     weight = [factorial(s) * factorial(d - s - 1) << s for s in range(d)]
     denominator = factorial(d) << d
     values = []
     for i in range(1, d + 1):
-        # Axis 1 splits on x_i's bit (d - i): S at 0, S + i at 1.
         pairs = counts.reshape(-1, 2, 1 << (d - i))
-        by_size = np.zeros(d, dtype=np.int64)
-        np.add.at(
-            by_size,
-            sizes.reshape(pairs.shape)[:, 0],
-            2 * pairs[:, 1].astype(np.int64) - pairs[:, 0],
-        )
+        diff = 2 * pairs[:, 1].astype(np.int64) - pairs[:, 0]
+        by_size = np.add.reduceat(diff.ravel()[by_popcount], starts)
         total = sum(w * int(t) for w, t in zip(weight, by_size))
         values.append(Fraction(total, denominator))
     grand = int(counts[-1]) - Fraction(int(counts[0]), 1 << d)

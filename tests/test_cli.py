@@ -3,9 +3,12 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from boolrel import cli
 from boolrel.cli import (
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_NO,
     EXIT_USAGE,
     EXIT_YES,
@@ -166,6 +169,43 @@ class TestCapRefusal:
         assert code == EXIT_CAP
         assert report["exit_code"] == EXIT_CAP
         assert report["error"]["kind"] == "cap"
+
+
+DEEP_PARENTHESES = "(" * 500 + "x1" + ")" * 500
+LONG_XOR_CHAIN = " ^ ".join(f"x{i}" for i in range(1, 1201))
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_a_report(self, monkeypatch):
+        def broken(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "prob", broken)
+        code, report = invoke("prob", "--formula", "x1")
+        assert code == EXIT_INTERNAL == 70
+        assert report["exit_code"] == EXIT_INTERNAL
+        assert report["error"]["kind"] == "internal"
+        assert report["error"]["reason"] == "RuntimeError: boom"
+        assert report["error"]["where"].startswith("test_cli.py:")
+
+    @pytest.mark.parametrize("formula", [DEEP_PARENTHESES, LONG_XOR_CHAIN])
+    def test_deep_formulas_get_a_report(self, formula):
+        # Both once escaped as RecursionError tracebacks.  Either answer is a
+        # report: the probability, or an internal error.
+        code, report = invoke("prob", "--formula", formula)
+        assert code in (EXIT_YES, EXIT_INTERNAL)
+        assert report["exit_code"] == code
+        if code == EXIT_INTERNAL:
+            assert report["error"]["kind"] == "internal"
+        else:
+            assert report["result"]["probability"]["fraction"] == "1/2"
+
+    def test_deep_formula_console_has_no_traceback(self):
+        cmd = [sys.executable, "-m", "boolrel.cli", "prob", "--formula",
+               DEEP_PARENTHESES]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.stderr == ""
+        assert proc.returncode == json.loads(proc.stdout)["exit_code"]
 
 
 class TestSampling:

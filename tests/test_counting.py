@@ -1,6 +1,9 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import boolrel.counting as counting
@@ -21,6 +24,7 @@ from boolrel.formula import (
     and_,
     compose_variables,
     const,
+    not_,
     or_,
     parse,
     var,
@@ -375,7 +379,7 @@ class TestCoalitionCounts:
 
     def test_wide_table_matches_evaluator(self):
         rng = random.Random(82)
-        d = 17  # three top-rank variables fixed per block
+        d = 19  # three top-rank variables fixed per block
         f = random_formula(rng, d, 40)
         x = random_assignment(rng, d)
         c = coalition_counts(f, x, 0)
@@ -384,3 +388,80 @@ class TestCoalitionCounts:
             s = _subset_of_rank(r, d)
             want = 1 - ev.satisfaction({i: x.bit(i) for i in s})
             assert Fraction(int(c[r]), 1 << (d - len(s))) == want
+
+
+def _random_3cnf(rng: random.Random, d: int, clauses: int) -> list[list[int]]:
+    """Clauses as signed variable indices (-v for !x_v)."""
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, d + 1), 3)]
+        for _ in range(clauses)
+    ]
+
+
+def _cnf_formula(cnf: list[list[int]], d: int) -> Formula:
+    return Formula(
+        and_(*(or_(*(var(v) if v > 0 else not_(var(-v)) for v in c)) for c in cnf)),
+        d,
+    )
+
+
+class TestBlockedCount:
+    def test_blocks_match_naive(self, monkeypatch):
+        # Blocks of 2^2 positions: free counts 0..9 fall below, at and above
+        # the block width, and the fixed variables sit between free ones
+        # inside the block as well as among the block-fixed ones above it.
+        monkeypatch.setattr(counting, "_LEAF_BITS", 2)
+        rng = random.Random(83)
+        widths = set()
+        for _ in range(120):
+            d = rng.randint(1, 9)
+            f = random_formula(rng, d, 12)
+            x = random_assignment(rng, d)
+            s = sorted(rng.sample(range(1, d + 1), rng.randint(0, d)))
+            free = [i for i in range(1, d + 1) if i not in s]
+            widths.add(len(free))
+            got = counting._masked_count(f.root, free, {i: x.bit(i) for i in s})
+            want = naive_conditional_satisfaction(f, x, s) * (1 << len(free))
+            assert got == want, (str(f), str(x), s)
+        assert {0, 1, 2, 3, 4} <= widths
+        # Pinned cases: x2 fixed inside the first block (between x1 and x3),
+        # x5 fixed among the block-fixed variables x4 and x6.
+        f = parse("(x1 ^ x2 ^ x3) | (x4 & x5 & !x6)")
+        x = Assignment.from_string("010011")
+        for fixed_set in ([2], [5], [2, 5]):
+            free = [i for i in range(1, 7) if i not in fixed_set]
+            got = counting._masked_count(
+                f.root, free, {i: x.bit(i) for i in fixed_set}
+            )
+            want = naive_conditional_satisfaction(f, x, fixed_set) * (1 << len(free))
+            assert got == want
+
+    def test_memory_bounded_by_block(self):
+        # 2^22 positions; the whole-range lanes would be 512 KiB per node.
+        # With the cyclic collector off, only lanes freed by reference
+        # counting come back.
+        rng = random.Random(22)
+        d = 22
+        cnf = _random_3cnf(rng, d, 3 * d)
+        f = _cnf_formula(cnf, d)
+        free = list(range(1, d + 1))
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            count = counting._masked_count(f.root, free, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert peak < 8 << 20, peak
+        # The count itself, from a numpy evaluation over all 2^22 rows.
+        rows = np.arange(1 << d, dtype=np.uint32)
+        sat = np.ones(1 << d, dtype=bool)
+        for c in cnf:
+            clause = np.zeros(1 << d, dtype=bool)
+            for v in c:
+                clause |= ((rows >> (abs(v) - 1)) & 1).astype(bool) == (v > 0)
+            sat &= clause
+        assert count == int(sat.sum())

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from boolrel.formula import (
     compile_to_relu,
     const,
     evaluate,
+    evaluate_lanes,
     from_truth_table,
     not_,
     or_,
@@ -115,6 +117,17 @@ class TestEvaluate:
         f = parse(FIG1)
         with pytest.raises(ValueError):
             evaluate(f, Assignment.from_string("11"))
+
+    def test_no_reference_cycles(self):
+        # Both evaluators free their memo by reference counting on return:
+        # nothing is left for the cyclic collector.
+        f = parse(FIG1)
+        a = Assignment.from_string("110")
+        lane = {1: 0b1010, 2: 0b1100, 3: 0b1111}.__getitem__
+        gc.collect()
+        assert evaluate(f, a) == 1
+        assert evaluate_lanes(f.root, lane, 0b1111) == 0b1000
+        assert gc.collect() == 0
 
 
 class TestTruthTable:

@@ -6,6 +6,7 @@ import pytest
 from boolrel.counting import satisfaction_probability
 from boolrel.formula import (
     Assignment,
+    EnumerationCapExceeded,
     Formula,
     and_,
     not_,
@@ -211,6 +212,22 @@ class TestSatToIp3:
         assert out.m == 7
         with pytest.raises(ValueError):
             reduce_sat_to_ip3(parse("x1 | x2"), HALF, Fraction(1, 4), m_prime=1)
+
+
+class TestSatOracle:
+    def test_models_in_one_block_of_many(self):
+        # 20 free variables are 2^4 enumeration blocks: the only model is
+        # the all-ones row in the last block, then a row of a middle block.
+        ones = and_(*(var(i) for i in range(1, 21)))
+        assert oracle_verdict(sat(Formula(ones, 20))) is Verdict.YES
+        middle = and_(*(not_(var(i)) if i == 18 else var(i) for i in range(1, 21)))
+        assert oracle_verdict(sat(Formula(middle, 20))) is Verdict.YES
+        none = and_(ones, not_(var(20)))
+        assert oracle_verdict(sat(Formula(none, 20))) is Verdict.NO
+
+    def test_refuses_above_26(self):
+        with pytest.raises(EnumerationCapExceeded, match="sat oracle"):
+            oracle_verdict(sat(Formula(var(1), 27)))
 
 
 class TestInapproxParameters:

@@ -650,7 +650,7 @@ class TestTableAndSearchPaths:
 
     def test_multi_block_table_matches_dfs(self):
         rng = random.Random(90)
-        for d in (15, 16):
+        for d in (15, 16, 17):
             f = random_formula(rng, d, 30)
             x = random_assignment(rng, d)
             for delta in (Fraction(7, 8), Fraction(2, 3)):

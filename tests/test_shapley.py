@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from boolrel.counting import coalition_counts
 from boolrel.formula import (
     Assignment,
     EnumerationCapExceeded,
@@ -65,9 +66,9 @@ class TestCharacteristicValue:
             assert ce.value == want
 
     def test_cap(self):
-        f = Formula(var(1), 20)
+        f = Formula(var(1), 21)
         with pytest.raises(EnumerationCapExceeded):
-            characteristic_value(f, Assignment.zeros(20), [1])
+            characteristic_value(f, Assignment.zeros(21), [1])
 
 
 class TestShapleyValues:
@@ -144,7 +145,7 @@ class TestShapleyValues:
             assert shapley_values(f, x).values == want
 
 
-    @pytest.mark.parametrize("d", [13, 16])
+    @pytest.mark.parametrize("d", [13, 16, 20])
     def test_wide_against_characteristic_value(self, d):
         # f reads three variables only; the others are null players, and the
         # three players' values follow from nu on the 8 coalitions of R.
@@ -176,6 +177,25 @@ class TestShapleyValues:
                     )
                     want += weight * (nu(s + (i,)) - nu(s))
             assert sv.values[i - 1] == want
+
+    def test_grouping_matches_plain_sum(self):
+        # The per-size segment sums against a plain loop over the same table.
+        rng = random.Random(22)
+        for d in (1, 2, 9, 12):
+            f = random_formula(rng, d, 3 * d)
+            x = random_assignment(rng, d)
+            c = [int(v) for v in coalition_counts(f, x, 1)]
+            want = []
+            for i in range(1, d + 1):
+                bit = 1 << (d - i)
+                total = 0
+                for r in range(1 << d):
+                    if not r & bit:
+                        size = bin(r).count("1")
+                        weight = math.factorial(size) * math.factorial(d - size - 1)
+                        total += (weight << size) * (2 * c[r | bit] - c[r])
+                want.append(Fraction(total, math.factorial(d) << d))
+            assert shapley_values(f, x).values == tuple(want)
 
     def test_wide_random_is_efficient(self):
         rng = random.Random(21)
