@@ -98,7 +98,6 @@ class RunConfig:
     rounds: Optional[int] = None
     enum_cap: int = DEFAULT_ENUM_CAP
     search_cap: int = DEFAULT_SEARCH_CAP
-    threads: int = 1
     output: Optional[str] = None
     extras: dict = field(default_factory=dict)
 
@@ -221,7 +220,6 @@ def _echo(
     out = {
         "enum_cap": config.enum_cap,
         "search_cap": config.search_cap,
-        "threads": config.threads,
     }
     if query is not None:
         out["formula"] = str(query.f)
@@ -619,7 +617,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--rounds", type=int, help="amplification rounds (odd)")
         p.add_argument("--enum-cap", type=int, dest="enum_cap")
         p.add_argument("--search-cap", type=int, dest="search_cap")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--output", help="write the report to this path")
 
     common(sub.add_parser("eval"), x=True)
@@ -643,7 +640,6 @@ def _build_parser() -> _Parser:
         gp.add_argument("--delta2", required=True)
     for gp in gadget_sub.choices.values():
         gp.add_argument("--enum-cap", type=int, dest="enum_cap")
-        gp.add_argument("--threads", type=int, default=1)
         gp.add_argument("--output")
 
     reduce_p = sub.add_parser("reduce")
@@ -658,7 +654,6 @@ def _build_parser() -> _Parser:
     reduce_p.add_argument("--gamma")
     reduce_p.add_argument("--enum-cap", type=int, dest="enum_cap")
     reduce_p.add_argument("--search-cap", type=int, dest="search_cap")
-    reduce_p.add_argument("--threads", type=int, default=1)
     reduce_p.add_argument("--output")
 
     verify_p = sub.add_parser("verify")
@@ -666,7 +661,6 @@ def _build_parser() -> _Parser:
     verify_p.add_argument("--reduced", required=True)
     verify_p.add_argument("--enum-cap", type=int, dest="enum_cap")
     verify_p.add_argument("--search-cap", type=int, dest="search_cap")
-    verify_p.add_argument("--threads", type=int, default=1)
     verify_p.add_argument("--output")
 
     inapprox = sub.add_parser("inapprox-params")
@@ -674,7 +668,6 @@ def _build_parser() -> _Parser:
     inapprox.add_argument("--delta", required=True)
     inapprox.add_argument("--gamma", required=True)
     inapprox.add_argument("--alpha", required=True)
-    inapprox.add_argument("--threads", type=int, default=1)
     inapprox.add_argument("--output")
 
     common(sub.add_parser("shapley"), x=True)
@@ -715,9 +708,6 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     def get(name, default=None):
         return getattr(ns, name, default)
 
-    threads = get("threads", 1) or 1
-    if threads < 1:
-        raise UsageError("--threads must be at least 1")
     enum_cap = get("enum_cap")
     if enum_cap is None:
         enum_cap = _env_cap("BOOLREL_ENUM_CAP", DEFAULT_ENUM_CAP)
@@ -738,7 +728,6 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         rounds=get("rounds"),
         enum_cap=enum_cap,
         search_cap=search_cap,
-        threads=threads,
         output=get("output"),
         extras=extras,
     )

@@ -45,19 +45,21 @@ from .formula import (
     EnumerationCapExceeded,
     Formula,
     Node,
-    Not,
     Or,
     SubsetMask,
     Var,
     Xor,
+    _occurrences,
+    _order,
     _var_pattern,
     and_,
     const,
     evaluate,
     evaluate_lanes,
-    not_,
     or_,
+    rewrite,
     support,
+    var,
     xor,
 )
 
@@ -162,32 +164,6 @@ DyadicProb.ONE = DyadicProb(1, 0)
 
 
 # --------------------------------------------------------------------------
-# Occurrence counts (tree multiplicities) with a global per-node cache.
-
-_occ_cache: dict[int, dict[int, int]] = {}
-
-
-def _occurrences(node: Node) -> dict[int, int]:
-    got = _occ_cache.get(id(node))
-    if got is not None:
-        return got
-    if isinstance(node, Var):
-        out = {node.index: 1}
-    elif isinstance(node, Const):
-        out = {}
-    elif isinstance(node, Not):
-        out = _occurrences(node.child)
-    else:
-        kids = (node.left, node.right) if isinstance(node, Xor) else node.children
-        out = {}
-        for c in kids:
-            for v, n in _occurrences(c).items():
-                out[v] = out.get(v, 0) + n
-    _occ_cache[id(node)] = out
-    return out
-
-
-# --------------------------------------------------------------------------
 # XOR freshening.  Collapses every XOR chain whose leaves are distinct
 # variables occurring exactly once in the whole formula into its
 # smallest-index leaf, and records the group of collapsed variables so that
@@ -196,56 +172,46 @@ def _occurrences(node: Node) -> dict[int, int]:
 
 
 def _xor_leaves(node: Node) -> list[Node]:
-    if isinstance(node, Xor):
-        return _xor_leaves(node.left) + _xor_leaves(node.right)
-    return [node]
+    """Operands of the XOR chain at `node`, left to right."""
+    leaves = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Xor):
+            stack += (n.right, n.left)
+        else:
+            leaves.append(n)
+    return leaves
 
 
 def _freshen_once(root: Node, groups: dict[int, frozenset[int]]):
     occ = _occurrences(root)
     changed = False
-    memo: dict[int, Node] = {}
 
-    def walk(n: Node) -> Node:
+    def collapse(n: Node, kids: tuple[Node, ...]) -> Optional[Node]:
         nonlocal changed
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, (Var, Const)):
-            out = n
-        elif isinstance(n, Not):
-            child = walk(n.child)
-            out = n if child is n.child else not_(child)
-        elif isinstance(n, Xor):
-            left = walk(n.left)
-            right = walk(n.right)
-            rebuilt = n if (left is n.left and right is n.right) else xor(left, right)
-            out = rebuilt
-            if isinstance(rebuilt, Xor):
-                leaves = _xor_leaves(rebuilt)
-                idxs = [l.index for l in leaves if isinstance(l, Var)]
-                if (
-                    len(idxs) == len(leaves)
-                    and len(set(idxs)) == len(idxs)
-                    and all(occ.get(i, 0) == 1 for i in idxs)
-                ):
-                    rep = min(idxs)
-                    merged: set[int] = set()
-                    for i in idxs:
-                        merged |= groups.pop(i, frozenset((i,)))
-                    groups[rep] = frozenset(merged)
-                    out = next(l for l in leaves if l.index == rep)
-                    changed = True
-        elif isinstance(n, And):
-            kids = [walk(c) for c in n.children]
-            out = n if all(a is b for a, b in zip(kids, n.children)) else and_(*kids)
-        else:
-            kids = [walk(c) for c in n.children]
-            out = n if all(a is b for a, b in zip(kids, n.children)) else or_(*kids)
-        memo[id(n)] = out
-        return out
+        if not isinstance(n, Xor):
+            return None
+        rebuilt = xor(*kids)
+        if not isinstance(rebuilt, Xor):
+            return rebuilt
+        leaves = _xor_leaves(rebuilt)
+        idxs = [l.index for l in leaves if isinstance(l, Var)]
+        if (
+            len(idxs) < len(leaves)
+            or len(set(idxs)) < len(idxs)
+            or any(occ.get(i, 0) != 1 for i in idxs)
+        ):
+            return rebuilt
+        rep = min(idxs)
+        merged: set[int] = set()
+        for i in idxs:
+            merged |= groups.pop(i, frozenset((i,)))
+        groups[rep] = frozenset(merged)
+        changed = True
+        return var(rep)
 
-    return walk(root), changed
+    return rewrite(root, collapse), changed
 
 
 def _freshen(root: Node):
@@ -349,43 +315,6 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
     return counts
 
 
-def _replace_subtree(root: Node, target: Node, value: int) -> Node:
-    memo: dict[int, Node] = {}
-
-    def walk(n: Node) -> Node:
-        if n is target:
-            return const(value)
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, (Var, Const)):
-            out = n
-        elif isinstance(n, Not):
-            out = not_(walk(n.child))
-        elif isinstance(n, And):
-            out = and_(*(walk(c) for c in n.children))
-        elif isinstance(n, Or):
-            out = or_(*(walk(c) for c in n.children))
-        else:
-            out = xor(walk(n.left), walk(n.right))
-        memo[id(n)] = out
-        return out
-
-    return walk(root)
-
-
-_replace_cache: dict[tuple[int, int, int], Node] = {}
-
-
-def _replace_cached(root: Node, target: Node, value: int) -> Node:
-    key = (id(root), id(target), value)
-    got = _replace_cache.get(key)
-    if got is None:
-        got = _replace_subtree(root, target, value)
-        _replace_cache[key] = got
-    return got
-
-
 # --------------------------------------------------------------------------
 # The conditional probability engine.
 
@@ -457,6 +386,7 @@ class ConditionalEvaluator:
             for m in members:
                 self._member_to_rep[m] = rep
         self._memo: dict = {}
+        self._replaced: dict[tuple[Node, Node, int], Node] = {}
 
     # -- query surface ----------------------------------------------------
 
@@ -501,7 +431,7 @@ class ConditionalEvaluator:
         free_count = len(supp) - len(relevant)
         if free_count == 0:
             return Fraction(evaluate_lanes(node, fixed.__getitem__, 1))
-        key = (id(node), relevant)
+        key = (node, relevant)
         got = self._memo.get(key)
         if got is not None:
             return got
@@ -530,8 +460,8 @@ class ConditionalEvaluator:
         plug = self._find_plug(node, fixed)
         if plug is not None:
             p_t = self._prob(plug, fixed)
-            high = self._prob(_replace_cached(node, plug, 1), fixed)
-            low = self._prob(_replace_cached(node, plug, 0), fixed)
+            high = self._prob(self._replace(node, plug, 1), fixed)
+            low = self._prob(self._replace(node, plug, 0), fixed)
             return p_t * high + (1 - p_t) * low
 
         if free_count <= self.enum_cap:
@@ -543,37 +473,34 @@ class ConditionalEvaluator:
         count = _masked_count(node, free, fixed)
         return Fraction(count, 1 << len(free))
 
+    def _replace(self, node: Node, plug: Node, value: int) -> Node:
+        """`node` with every occurrence of `plug` replaced by the constant."""
+        key = (node, plug, value)
+        got = self._replaced.get(key)
+        if got is None:
+            got = rewrite(node, lambda n, kids: const(value) if n is plug else None)
+            self._replaced[key] = got
+        return got
+
     def _find_plug(self, node: Node, fixed: dict[int, int]) -> Optional[Node]:
-        """Largest proper subtree whose free variables are private to it."""
+        """Largest proper subtree whose free variables are private to it.
+
+        Ties go to the node latest in post-order, so an ancestor wins over
+        its descendants and a later sibling over an earlier one.
+        """
         occ_root = _occurrences(node)
         free_supp = frozenset(v for v in support(node) if v not in fixed)
         best: Optional[Node] = None
         best_size = 0
-        stack = [(node, True)]
-        seen: set[int] = set()
-        while stack:
-            current, is_root = stack.pop()
-            if id(current) in seen:
-                continue
-            seen.add(id(current))
+        for current in _order(node):
             if isinstance(current, (Var, Const)):
-                continue
-            if isinstance(current, Not):
-                children = (current.child,)
-            elif isinstance(current, Xor):
-                children = (current.left, current.right)
-            else:
-                children = current.children
-            for c in children:
-                stack.append((c, False))
-            if is_root:
                 continue
             free_t = [v for v in support(current) if v not in fixed]
             if not free_t or len(free_t) >= len(free_supp):
                 continue
             occ_t = _occurrences(current)
             if all(occ_root[v] == occ_t[v] for v in free_t):
-                if len(free_t) > best_size:
+                if len(free_t) >= best_size:
                     best = current
                     best_size = len(free_t)
         return best

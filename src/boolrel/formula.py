@@ -23,6 +23,7 @@ parenthesised form; ``parse(render(f))`` reproduces the truth table of ``f``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -59,6 +60,7 @@ __all__ = [
     "substitute",
     "shift_variables",
     "compose_variables",
+    "rewrite",
     "from_truth_table",
     "ReluNetwork",
     "compile_to_relu",
@@ -93,42 +95,72 @@ class EnumerationCapExceeded(RuntimeError):
 
 # --------------------------------------------------------------------------
 # AST nodes.  eq=False keeps identity semantics; interning below guarantees
-# structural equality coincides with identity.
+# structural equality coincides with identity, so nodes themselves serve as
+# memo keys.
 
 
 class Node:
-    __slots__ = ()
+    """Base of the AST nodes; each also carries facts about itself.
+
+    `support`, the set of variable indices below the node, is set when the
+    node is built.  `_order` (the proper descendants in post-order) and
+    `_occ` (occurrence counts) are filled in on first use.
+    """
+
+    __slots__ = ("support", "_order", "_occ")
+
+    def __post_init__(self):
+        kids = _kids(self)
+        if isinstance(self, Var):
+            supp = frozenset((self.index,))
+        elif len(kids) == 1:
+            supp = kids[0].support
+        else:
+            supp = frozenset().union(*(c.support for c in kids))
+        object.__setattr__(self, "support", supp)
+        object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_occ", None)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var(Node):
     index: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Const(Node):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Not(Node):
     child: Node
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class And(Node):
     children: tuple[Node, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Or(Node):
     children: tuple[Node, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Xor(Node):
     left: Node
     right: Node
+
+
+def _kids(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, (And, Or)):
+        return node.children
+    if isinstance(node, Xor):
+        return (node.left, node.right)
+    if isinstance(node, Not):
+        return (node.child,)
+    return ()
 
 
 _interned: dict = {}
@@ -163,13 +195,13 @@ def not_(child: Node) -> Node:
         return const(1 - child.value)
     if isinstance(child, Not):
         return child.child
-    return _intern(("not", id(child)), lambda: Not(child))
+    return _intern(("not", child), lambda: Not(child))
 
 
 def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const):
     """Flatten, drop neutral constants, dedupe, detect complements."""
     flat: list[Node] = []
-    seen: set[int] = set()
+    negated: dict[Node, bool] = {}  # each operand with its Not stripped
     for c in children:
         if isinstance(c, cls):
             sub = c.children
@@ -180,13 +212,14 @@ def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const):
                 return None
             if s is neutral:
                 continue
-            if id(s) in seen:
-                continue
-            comp = not_(s)
-            if id(comp) in seen:
+            is_not = isinstance(s, Not)
+            base = s.child if is_not else s
+            seen = negated.get(base)
+            if seen is None:
+                negated[base] = is_not
+                flat.append(s)
+            elif seen is not is_not:
                 return None
-            seen.add(id(s))
-            flat.append(s)
     return flat
 
 
@@ -198,8 +231,7 @@ def and_(*children: Node) -> Node:
         return TRUE
     if len(flat) == 1:
         return flat[0]
-    key = ("and",) + tuple(id(c) for c in flat)
-    return _intern(key, lambda: And(tuple(flat)))
+    return _intern(("and", *flat), lambda: And(tuple(flat)))
 
 
 def or_(*children: Node) -> Node:
@@ -210,8 +242,7 @@ def or_(*children: Node) -> Node:
         return FALSE
     if len(flat) == 1:
         return flat[0]
-    key = ("or",) + tuple(id(c) for c in flat)
-    return _intern(key, lambda: Or(tuple(flat)))
+    return _intern(("or", *flat), lambda: Or(tuple(flat)))
 
 
 def xor(left: Node, right: Node) -> Node:
@@ -233,9 +264,11 @@ def xor(left: Node, right: Node) -> Node:
     elif left is right:
         result = FALSE
     else:
-        key = ("xor", id(left), id(right))
-        result = _intern(key, lambda: Xor(left, right))
+        result = _intern(("xor", left, right), lambda: Xor(left, right))
     return not_(result) if negate else result
+
+
+_BUILD = {Not: not_, And: and_, Or: or_, Xor: xor}
 
 
 def xor_all(operands: Iterable[Node]) -> Node:
@@ -249,29 +282,85 @@ def xor_all(operands: Iterable[Node]) -> Node:
 
 
 # --------------------------------------------------------------------------
-# Structural helpers.
+# Structural helpers.  Every walker loops over one post-order per root,
+# built without recursion, so formula depth is bounded by memory alone.
 
-_support_cache: dict[int, frozenset[int]] = {}
+
+def _order(root: Node) -> tuple[Node, ...]:
+    """The proper descendants of `root`, each once, children before parents.
+
+    Built once per root and cached on it.  The root itself is left out, so
+    the cached tuple holds no reference back to its owner.
+    """
+    order = root._order
+    if order is None:
+        out: list[Node] = []
+        seen = {root}
+        stack = [(root, iter(_kids(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(_kids(child))))
+                    break
+            else:
+                stack.pop()
+                out.append(node)
+        out.pop()  # the root
+        order = tuple(out)
+        object.__setattr__(root, "_order", order)
+    return order
+
+
+def _post_order(root: Node) -> Iterator[Node]:
+    """Every node of `root` once, children before parents, `root` last."""
+    return chain(_order(root), (root,))
 
 
 def support(node: Node) -> frozenset[int]:
     """Set of variable indices occurring in the node."""
-    cached = _support_cache.get(id(node))
-    if cached is not None:
-        return cached
-    if isinstance(node, Var):
-        result = frozenset((node.index,))
-    elif isinstance(node, Const):
-        result = frozenset()
-    elif isinstance(node, Not):
-        result = support(node.child)
-    elif isinstance(node, Xor):
-        result = support(node.left) | support(node.right)
-    else:
-        result = frozenset().union(*(support(c) for c in node.children))
-    # Nodes are interned for the process lifetime, so id-keyed caching is safe.
-    _support_cache[id(node)] = result
-    return result
+    return node.support
+
+
+def _occurrences(node: Node) -> dict[int, int]:
+    """How many leaves of the expanded tree carry each variable."""
+    if node._occ is None:
+        for n in _post_order(node):
+            if n._occ is not None:
+                continue
+            if isinstance(n, Var):
+                occ = {n.index: 1}
+            elif isinstance(n, Not):
+                occ = n.child._occ
+            else:
+                occ = {}
+                for c in _kids(n):
+                    for v, k in c._occ.items():
+                        occ[v] = occ.get(v, 0) + k
+            object.__setattr__(n, "_occ", occ)
+    return node._occ
+
+
+def rewrite(
+    root: Node, hook: Callable[[Node, tuple[Node, ...]], Optional[Node]]
+) -> Node:
+    """Rebuild `root` bottom-up through the folding constructors.
+
+    Each node is visited once, after its children.  `hook(node, kids)` gets
+    the node and its rebuilt children and returns the node's replacement,
+    or None to rebuild it from `kids` (the node itself when none changed).
+    """
+    new: dict[Node, Node] = {}
+    for n in _post_order(root):
+        old = _kids(n)
+        kids = tuple(new[c] for c in old)
+        out = hook(n, kids)
+        if out is None:
+            unchanged = all(k is c for k, c in zip(kids, old))
+            out = n if unchanged else _BUILD[type(n)](*kids)
+        new[n] = out
+    return out
 
 
 def substitute(node: Node, fixed: dict[int, int]) -> Node:
@@ -286,28 +375,9 @@ def shift_variables(node: Node, offset: int) -> Node:
 
 def compose_variables(node: Node, mapping: dict[int, Node]) -> Node:
     """Substitute whole subformulas for variables; unmapped variables stay."""
-    memo: dict[int, Node] = {}
-
-    def walk(n: Node) -> Node:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = mapping.get(n.index, n)
-        elif isinstance(n, Const):
-            out = n
-        elif isinstance(n, Not):
-            out = not_(walk(n.child))
-        elif isinstance(n, And):
-            out = and_(*(walk(c) for c in n.children))
-        elif isinstance(n, Or):
-            out = or_(*(walk(c) for c in n.children))
-        else:
-            out = xor(walk(n.left), walk(n.right))
-        memo[id(n)] = out
-        return out
-
-    return walk(node)
+    return rewrite(
+        node, lambda n, kids: mapping.get(n.index) if isinstance(n, Var) else None
+    )
 
 
 # --------------------------------------------------------------------------
@@ -459,111 +529,125 @@ def parse(text: str, arity: Optional[int] = None) -> Formula:
 
     The optional arity widens the variable universe beyond the largest index
     mentioned; it may not shrink it.
+
+    Operator precedence is resolved with one frame per open parenthesis: a
+    frame holds the finished operands of its '|' level, the XOR chain so far
+    and the operands of the current '&' group, plus the count of '!' that
+    wait in front of the group's next operand.
     """
-    parser = _Parser(text)
-    root = parser.parse_expr()
-    parser.expect_end()
-    return Formula.of(root, arity)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _take(self) -> str:
-        ch = self._peek()
-        self.pos += 1
-        return ch
-
-    def parse_expr(self) -> Node:
-        return self.parse_or()
-
-    def parse_or(self) -> Node:
-        items = [self.parse_xor()]
-        while self._peek() == "|":
-            self.pos += 1
-            items.append(self.parse_xor())
-        return or_(*items) if len(items) > 1 else items[0]
-
-    def parse_xor(self) -> Node:
-        node = self.parse_and()
-        while self._peek() == "^":
-            self.pos += 1
-            node = xor(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Node:
-        items = [self.parse_unary()]
-        while self._peek() == "&":
-            self.pos += 1
-            items.append(self.parse_unary())
-        return and_(*items) if len(items) > 1 else items[0]
-
-    def parse_unary(self) -> Node:
-        ch = self._peek()
+    frames: list[tuple] = []  # the enclosing groups, innermost last
+    ors: list[Node] = []
+    xored: Optional[Node] = None
+    ands: list[Node] = []
+    nots = 0
+    pos = _skip_space(text, 0)
+    while True:
+        # An operand: '!' prefixes, then '(' or an atom.
+        ch = text[pos] if pos < len(text) else ""
         if ch == "!":
-            self.pos += 1
-            return not_(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Node:
-        ch = self._peek()
-        start = self.pos
+            nots += 1
+            pos = _skip_space(text, pos + 1)
+            continue
         if ch == "(":
-            self.pos += 1
-            node = self.parse_expr()
-            if self._peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        if ch in ("0", "1"):
-            self.pos += 1
-            return const(int(ch))
-        if ch == "x":
-            self.pos += 1
-            digits = ""
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                digits += self.text[self.pos]
-                self.pos += 1
-            if not digits:
-                raise FormulaSyntaxError("expected digits after 'x'", self.pos)
-            index = int(digits)
-            if index == 0:
-                raise FormulaSyntaxError("variable index 0 is not allowed", start)
-            return var(index)
-        if ch == "":
-            raise FormulaSyntaxError("unexpected end of input", self.pos)
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", self.pos)
+            frames.append((ors, xored, ands, nots))
+            ors, xored, ands, nots = [], None, [], 0
+            pos = _skip_space(text, pos + 1)
+            continue
+        node, pos = _atom(text, pos)
+        while True:
+            for _ in range(nots):
+                node = not_(node)
+            nots = 0
+            ands.append(node)
+            pos = _skip_space(text, pos)
+            ch = text[pos] if pos < len(text) else ""
+            # Anything but '&' closes the '&' group, and anything but '&' or
+            # '^' also the XOR chain.
+            if ch != "&":
+                group = and_(*ands) if len(ands) > 1 else ands[0]
+                xored = group if xored is None else xor(xored, group)
+                ands = []
+                if ch != "^":
+                    ors.append(xored)
+                    xored = None
+            if ch in ("&", "^", "|"):
+                pos = _skip_space(text, pos + 1)
+                break
+            # The group ends.
+            node = or_(*ors) if len(ors) > 1 else ors[0]
+            if not frames:
+                if ch:
+                    raise FormulaSyntaxError(
+                        f"unexpected trailing input {text[pos:]!r}", pos
+                    )
+                return Formula.of(node, arity)
+            if ch != ")":
+                raise FormulaSyntaxError("expected ')'", pos)
+            pos += 1
+            ors, xored, ands, nots = frames.pop()
 
-    def expect_end(self):
-        if self._peek() != "":
-            raise FormulaSyntaxError(
-                f"unexpected trailing input {self.text[self.pos:]!r}", self.pos
-            )
+
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts e.g. '²'
+
+
+def _atom(text: str, pos: int) -> tuple[Node, int]:
+    """A constant or a variable at `pos`; returns it and the offset after it."""
+    ch = text[pos] if pos < len(text) else ""
+    if ch in ("0", "1"):
+        return const(int(ch)), pos + 1
+    if ch == "x":
+        end = pos + 1
+        while end < len(text) and text[end] in _DIGITS:
+            end += 1
+        if end == pos + 1:
+            raise FormulaSyntaxError("expected digits after 'x'", end)
+        try:
+            index = int(text[pos + 1 : end])
+        except ValueError:  # more digits than int() converts
+            raise FormulaSyntaxError("variable index too long", pos) from None
+        if index == 0:
+            raise FormulaSyntaxError("variable index 0 is not allowed", pos)
+        return var(index), end
+    if ch == "":
+        raise FormulaSyntaxError("unexpected end of input", pos)
+    raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
 
 
 def render(node: Node) -> str:
-    """Fully parenthesised text form; parses back to the same truth table."""
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Const):
-        return str(node.value)
-    if isinstance(node, Not):
-        return f"!{render(node.child)}"
-    if isinstance(node, And):
-        return "(" + " & ".join(render(c) for c in node.children) + ")"
-    if isinstance(node, Or):
-        return "(" + " | ".join(render(c) for c in node.children) + ")"
-    return f"({render(node.left)} ^ {render(node.right)})"
+    """Fully parenthesised text form; parses back to the same truth table.
+
+    Tokens are emitted from an explicit stack of pending nodes and strings,
+    so memory stays linear in the output whatever the depth.
+    """
+    out: list[str] = []
+    stack: list = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            out.append(n)
+        elif isinstance(n, Var):
+            out.append(f"x{n.index}")
+        elif isinstance(n, Const):
+            out.append(str(n.value))
+        elif isinstance(n, Not):
+            out.append("!")
+            stack.append(n.child)
+        else:
+            sep = " & " if isinstance(n, And) else " | " if isinstance(n, Or) else " ^ "
+            kids = _kids(n)
+            out.append("(")
+            stack.append(")")
+            for c in reversed(kids[1:]):
+                stack.append(c)
+                stack.append(sep)
+            stack.append(kids[0])
+    return "".join(out)
 
 
 def evaluate(f: Formula, a: Assignment) -> int:
@@ -572,41 +656,34 @@ def evaluate(f: Formula, a: Assignment) -> int:
         raise ArityMismatchError(
             f"assignment length {a.length} does not match arity {f.arity}"
         )
-    return _evaluate_node(f.root, a.bits, {})
-
-
-# The two evaluators recurse through module-level functions that take their
-# memo as an argument: a nested function calling itself would be a reference
-# cycle, keeping the memo (for lanes, one big int per node) alive after the
-# call returns until the cyclic collector runs.
-
-
-def _evaluate_node(n: Node, bits: int, memo: dict[int, int]) -> int:
-    got = memo.get(id(n))
-    if got is not None:
-        return got
-    if isinstance(n, Var):
-        out = (bits >> (n.index - 1)) & 1
-    elif isinstance(n, Const):
-        out = n.value
-    elif isinstance(n, Not):
-        out = 1 - _evaluate_node(n.child, bits, memo)
-    elif isinstance(n, And):
-        out = 1
-        for c in n.children:
-            if _evaluate_node(c, bits, memo) == 0:
-                out = 0
-                break
-    elif isinstance(n, Or):
-        out = 0
-        for c in n.children:
-            if _evaluate_node(c, bits, memo) == 1:
-                out = 1
-                break
+    bits = a.bits
+    root = f.root
+    # An And (Or) root stops at its first operand that is 0 (1).
+    if isinstance(root, (And, Or)):
+        operands, decided = root.children, int(isinstance(root, Or))
     else:
-        out = _evaluate_node(n.left, bits, memo) ^ _evaluate_node(n.right, bits, memo)
-    memo[id(n)] = out
-    return out
+        operands, decided = (root,), None
+    value: dict[Node, int] = {}
+    for op in operands:
+        for n in _post_order(op):
+            if n in value:
+                continue
+            if isinstance(n, Var):
+                out = (bits >> (n.index - 1)) & 1
+            elif isinstance(n, Const):
+                out = n.value
+            elif isinstance(n, Not):
+                out = 1 - value[n.child]
+            elif isinstance(n, And):
+                out = min(value[c] for c in n.children)
+            elif isinstance(n, Or):
+                out = max(value[c] for c in n.children)
+            else:
+                out = value[n.left] ^ value[n.right]
+            value[n] = out
+        if value[op] == decided:
+            return decided
+    return value[root] if decided is None else 1 - decided
 
 
 @dataclass(frozen=True)
@@ -644,39 +721,46 @@ def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
     `full` is the all-ones mask over the positions; the result is the packed
     column of the node's values.  The per-node lanes are freed on return.
     """
-    return _lanes_node(node, lane, full, {})
-
-
-def _lanes_node(
-    n: Node, lane: Callable[[int], int], full: int, memo: dict[int, int]
-) -> int:
-    got = memo.get(id(n))
-    if got is not None:
-        return got
-    if isinstance(n, Var):
-        out = lane(n.index)
-    elif isinstance(n, Const):
-        out = full if n.value else 0
-    elif isinstance(n, Not):
-        out = _lanes_node(n.child, lane, full, memo) ^ full
-    elif isinstance(n, And):
-        out = full
-        for c in n.children:
-            out &= _lanes_node(c, lane, full, memo)
-            if not out:
-                break
-    elif isinstance(n, Or):
-        out = 0
-        for c in n.children:
-            out |= _lanes_node(c, lane, full, memo)
-            if out == full:
-                break
-    else:
-        out = _lanes_node(n.left, lane, full, memo) ^ _lanes_node(
-            n.right, lane, full, memo
-        )
-    memo[id(n)] = out
-    return out
+    # An And (Or) root takes in each operand as soon as the order has it and
+    # returns once it is 0 (full): most blocks of a CNF are 0 long before
+    # the last clause.
+    ops = node.children if isinstance(node, (And, Or)) else ()
+    is_and = isinstance(node, And)
+    acc = full if is_and else 0
+    k = 0
+    wanted = ops[0] if ops else None
+    value: dict[Node, int] = {}
+    for n in _order(node) if ops else _post_order(node):
+        if isinstance(n, Var):
+            out = lane(n.index)
+        elif isinstance(n, Const):
+            out = full if n.value else 0
+        elif isinstance(n, Not):
+            out = value[n.child] ^ full
+        elif isinstance(n, And):
+            out = full
+            for c in n.children:
+                out &= value[c]
+                if not out:
+                    break
+        elif isinstance(n, Or):
+            out = 0
+            for c in n.children:
+                out |= value[c]
+                if out == full:
+                    break
+        else:
+            out = value[n.left] ^ value[n.right]
+        value[n] = out
+        if n is wanted:
+            # Operands met earlier, below another one, are taken in here too.
+            while k < len(ops) and ops[k] in value:
+                acc = acc & value[ops[k]] if is_and else acc | value[ops[k]]
+                k += 1
+            if acc == (0 if is_and else full):
+                return acc
+            wanted = ops[k] if k < len(ops) else None
+    return acc if ops else out
 
 
 def table_bits(node: Node, arity: int) -> int:
@@ -775,27 +859,12 @@ class ReluNetwork:
 
 def _expand_xor(node: Node) -> Node:
     """Rewrite XOR via AND/OR/NOT; other nodes are kept."""
-    memo: dict[int, Node] = {}
-
-    def walk(n: Node) -> Node:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, (Var, Const)):
-            out = n
-        elif isinstance(n, Not):
-            out = not_(walk(n.child))
-        elif isinstance(n, Xor):
-            a = walk(n.left)
-            b = walk(n.right)
-            out = and_(or_(a, b), not_(and_(a, b)))
-        else:
-            rebuilt = and_ if isinstance(n, And) else or_
-            out = rebuilt(*(walk(c) for c in n.children))
-        memo[id(n)] = out
-        return out
-
-    return walk(node)
+    return rewrite(
+        node,
+        lambda n, kids: (
+            and_(or_(*kids), not_(and_(*kids))) if isinstance(n, Xor) else None
+        ),
+    )
 
 
 def compile_to_relu(f: Formula) -> ReluNetwork:
@@ -808,7 +877,6 @@ def compile_to_relu(f: Formula) -> ReluNetwork:
     gates: list[tuple[dict, int]] = []  # (input coefficients, input bias)
     gate_layer: list[int] = []
     wire_layer: dict = {("in", i): 0 for i in range(1, d + 1)}
-    value_memo: dict[int, tuple[int, dict]] = {}
 
     def make_gate(kind: str, a: tuple[int, dict], b: tuple[int, dict]):
         oa, ca = a
@@ -832,27 +900,36 @@ def compile_to_relu(f: Formula) -> ReluNetwork:
         wire_layer[("g", gid)] = depth
         return value
 
-    def affine(n: Node) -> tuple[int, dict]:
-        got = value_memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = (0, {("in", n.index): 1})
-        elif isinstance(n, Const):
-            out = (n.value, {})
-        elif isinstance(n, Not):
-            o, coeffs = affine(n.child)
-            out = (1 - o, {w: -c for w, c in coeffs.items()})
-        else:
+    # Operands are folded left to right, each as soon as a depth-first pass
+    # finishes it; that order numbers the gates.  Stack frames hold a node,
+    # its next operand and the value folded so far.
+    affine: dict[Node, tuple[int, dict]] = {}
+    stack: list[list] = [[root, 0, None]]
+    while stack:
+        frame = stack[-1]
+        n, i, acc = frame
+        kids = _kids(n)
+        if i < len(kids):
+            if kids[i] not in affine:
+                stack.append([kids[i], 0, None])
+                continue
             # N-ary And/Or folded to a left-associative binary chain.
+            got = affine[kids[i]]
             kind = "and" if isinstance(n, And) else "or"
-            out = affine(n.children[0])
-            for child in n.children[1:]:
-                out = make_gate(kind, out, affine(child))
-        value_memo[id(n)] = out
-        return out
+            frame[1:] = i + 1, (got if i == 0 else make_gate(kind, acc, got))
+            continue
+        stack.pop()
+        if isinstance(n, Var):
+            affine[n] = (0, {("in", n.index): 1})
+        elif isinstance(n, Const):
+            affine[n] = (n.value, {})
+        elif isinstance(n, Not):
+            o, coeffs = acc
+            affine[n] = (1 - o, {w: -c for w, c in coeffs.items()})
+        else:
+            affine[n] = acc
 
-    root_offset, root_coeffs = affine(root)
+    root_offset, root_coeffs = affine[root]
     n_layers = max(gate_layer) if gate_layer else 0
 
     # Wire order per layer: inputs, then gates with layer <= t in id order.

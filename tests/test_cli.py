@@ -103,6 +103,19 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    def test_non_ascii_digit_is_usage_error(self):
+        # str.isdigit accepts '\u00b2', int() does not: this once exited 70.
+        code, report = invoke("prob", "--formula", "x\u00b2")
+        assert code == EXIT_USAGE
+        assert report["exit_code"] == EXIT_USAGE
+
+    def test_threads_flag_is_gone(self):
+        code, _ = invoke("prob", "--formula", "x1", "--threads", "2")
+        assert code == EXIT_USAGE
+        code, report = invoke("prob", "--formula", "x1")
+        assert code == EXIT_YES
+        assert "threads" not in report["parameters"]
+
     def test_unknown_subcommand(self):
         code, _ = invoke("frobnicate")
         assert code == EXIT_USAGE
@@ -190,15 +203,27 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("formula", [DEEP_PARENTHESES, LONG_XOR_CHAIN])
     def test_deep_formulas_get_a_report(self, formula):
-        # Both once escaped as RecursionError tracebacks.  Either answer is a
-        # report: the probability, or an internal error.
+        # Both once escaped as RecursionError tracebacks.
         code, report = invoke("prob", "--formula", formula)
-        assert code in (EXIT_YES, EXIT_INTERNAL)
+        assert code == EXIT_YES
         assert report["exit_code"] == code
-        if code == EXIT_INTERNAL:
-            assert report["error"]["kind"] == "internal"
-        else:
-            assert report["result"]["probability"]["fraction"] == "1/2"
+        assert report["result"]["probability"]["fraction"] == "1/2"
+
+    def test_deep_formulas_need_no_recursion(self):
+        script = (
+            "import json, sys\n"
+            "from boolrel.cli import run\n"
+            "sys.setrecursionlimit(150)\n"
+            "for formula in sys.argv[1:]:\n"
+            "    code, text, _ = run(['prob', '--formula', formula])\n"
+            "    print(code, json.loads(text)['result']['probability']['fraction'])\n"
+        )
+        formulas = [DEEP_PARENTHESES, "(" * 10**4 + "x1" + ")" * 10**4, LONG_XOR_CHAIN]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *formulas], capture_output=True, text=True
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.split("\n") == ["0 1/2"] * 3 + [""]
 
     def test_deep_formula_console_has_no_traceback(self):
         cmd = [sys.executable, "-m", "boolrel.cli", "prob", "--formula",

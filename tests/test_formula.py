@@ -1,8 +1,13 @@
 import gc
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import boolrel.formula as formula
 
 from boolrel.formula import (
     And,
@@ -24,13 +29,15 @@ from boolrel.formula import (
     or_,
     parse,
     render,
+    rewrite,
     shift_variables,
     substitute,
     support,
     truth_table,
     var,
+    xor,
 )
-from oracles import naive_count_ones, random_formula
+from oracles import naive_count_ones, random_formula, random_formula_node
 
 FIG1 = "(x1 & x2) | !x3"
 
@@ -101,6 +108,60 @@ class TestParse:
             g = parse(render(f.root), arity=d)
             assert table_tuple(f) == table_tuple(g)
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("", "unexpected end of input", 0),
+            ("   ", "unexpected end of input", 3),
+            ("!", "unexpected end of input", 1),
+            ("(x1 | x2 ^ ", "unexpected end of input", 11),
+            ("x0", "variable index 0 is not allowed", 0),
+            ("x00", "variable index 0 is not allowed", 0),
+            ("x & x1", "expected digits after 'x'", 1),
+            ("x1 x2", "unexpected trailing input 'x2'", 3),
+            ("x1 )", "unexpected trailing input ')'", 3),
+            ("(x1 & x2", "expected ')'", 8),
+            ("((x1)", "expected ')'", 5),
+            ("x1 & & x2", "unexpected character '&'", 5),
+            ("()", "unexpected character ')'", 1),
+            ("x1 & (x2 | )", "unexpected character ')'", 11),
+            ("y1", "unexpected character 'y'", 0),
+        ],
+    )
+    def test_error_messages_and_offsets(self, text, message, offset):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text, offset", [("x\u00b2", 1), ("x1\u0663", 2)])
+    def test_non_ascii_digits_are_syntax_errors(self, text, offset):
+        # str.isdigit accepts these, int() does not.
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_index_too_long_for_int_is_syntax_error(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("x2 & x" + "7" * 5000)
+        assert err.value.offset == 5
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.integers(1, 9), st.integers(1, 30))
+    def test_render_parse_is_identity(self, seed, d, budget):
+        root = random_formula_node(random.Random(seed), d, budget)
+        assert parse(render(root)).root is root
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.text(alphabet="x0123456789()!&|^ 01x2\t\u00a0\u00b2\u0663$y", max_size=24))
+    def test_any_text_parses_or_is_a_syntax_error(self, text):
+        try:
+            f = parse(text)
+        except FormulaSyntaxError as err:
+            assert 0 <= err.offset <= len(text)
+        else:
+            assert isinstance(f, Formula)
+
 
 class TestEvaluate:
     def test_fig1_cases(self):
@@ -118,6 +179,26 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(f, Assignment.from_string("11"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x1 | x2) & x1",  # the second operand is met inside the first
+            "(x1 & x2) | x1",
+            "(x1 | x2) & (!x1 | x3) & (!x2 | !x3) & (x1 | !x3)",  # unsatisfiable
+            "(x1 & x2) | (!x1 & x3) | (x2 & x3) | !x2",
+        ],
+    )
+    def test_lanes_of_and_or_roots(self, text):
+        # An And/Or root stops once it is decided; the lanes still match
+        # evaluation at every position.
+        f = parse(text, arity=3)
+        lane = {i: sum(((j >> (i - 1)) & 1) << j for j in range(8)) for i in (1, 2, 3)}
+        want = sum(evaluate(f, Assignment(j, 3)) << j for j in range(8))
+        assert evaluate_lanes(f.root, lane.__getitem__, 0xFF) == want
+        for j in range(8):
+            bits = {i: (j >> (i - 1)) & 1 for i in (1, 2, 3)}
+            assert evaluate_lanes(f.root, bits.__getitem__, 1) == (want >> j) & 1
+
     def test_no_reference_cycles(self):
         # Both evaluators free their memo by reference counting on return:
         # nothing is left for the cyclic collector.
@@ -128,6 +209,63 @@ class TestEvaluate:
         assert evaluate(f, a) == 1
         assert evaluate_lanes(f.root, lane, 0b1111) == 0b1000
         assert gc.collect() == 0
+
+
+DEEP_SCRIPT = """
+import sys
+from boolrel.formula import *
+from boolrel.formula import evaluate_lanes
+
+sys.setrecursionlimit(150)
+
+# 1000 nested groups alternating '&' and '|' over x1..x6, built as text.
+text = "x6"
+for level in range(1000):
+    text = f"(x{level % 5 + 1} {'&|'[level % 2]} {text})"
+f = parse(text)
+assert render(f.root) == text
+assert parse(render(f.root)).root is f.root
+assert support(f.root) == {1, 2, 3, 4, 5, 6}
+
+
+def expected(bits):
+    value = bits >> 5
+    for level in range(1000):
+        b = (bits >> (level % 5)) & 1
+        value = (b & value) if level % 2 == 0 else (b | value)
+    return value
+
+
+table = sum(expected(j) << j for j in range(64))
+for j in range(64):
+    assert evaluate(f, Assignment(j, 6)) == expected(j)
+lane = lambda i: sum(((j >> (i - 1)) & 1) << j for j in range(64))
+assert evaluate_lanes(f.root, lane, (1 << 64) - 1) == table
+swapped = Formula(compose_variables(f.root, {1: var(2), 2: var(1)}), 6)
+for j in range(64):
+    k = (j & ~3) | ((j & 1) << 1) | ((j >> 1) & 1)
+    assert evaluate(swapped, Assignment(j, 6)) == expected(k)
+
+# 100 nested groups over two variables for the ReLU compiler.
+text = "x2"
+for level in range(100):
+    text = f"(x{level % 2 + 1} {'|&'[level % 2]} {text})"
+g = parse(text)
+net = compile_to_relu(g)
+for j in range(4):
+    assert net.forward(Assignment(j, 2)) == evaluate(g, Assignment(j, 2))
+print("ok")
+"""
+
+
+class TestDeepFormulas:
+    def test_walkers_do_not_recurse(self):
+        # Every walker runs under a recursion limit far below the depth.
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_SCRIPT], capture_output=True, text=True
+        )
+        assert proc.stderr == ""
+        assert proc.stdout == "ok\n"
 
 
 class TestTruthTable:
@@ -181,6 +319,44 @@ class TestStructure:
     def test_complement_detection(self):
         assert and_(var(1), not_(var(1))) is const(0)
         assert or_(var(2), not_(var(2))) is const(1)
+        assert parse("x1 & !x1").root is const(0)
+        assert parse("x1 | !x1").root is const(1)
+        assert parse("!x1 & x2 & x1").root is const(0)
+
+    def test_gather_builds_no_extra_nodes(self):
+        # Complements are found without building a Not of each operand.
+        a, b = var(9001), var(9002)
+        before = len(formula._interned)
+        node = and_(a, b, a)
+        assert len(formula._interned) == before + 1
+        assert or_(node, not_(a)) is not const(1)
+
+    def test_support_is_set_when_built(self):
+        node = or_(and_(var(4), var(7)), not_(var(2)))
+        assert node.support == {2, 4, 7}
+        assert not_(node).support is node.support
+
+    def test_order_lists_each_descendant_once_before_its_parents(self):
+        shared = xor(var(1), var(2))
+        root = and_(or_(shared, var(3)), not_(shared), var(4))
+        order = formula._order(root)
+        assert root not in order
+        assert len(set(order)) == len(order)
+        assert set(order) == {
+            shared, var(1), var(2), var(3), var(4), or_(shared, var(3)), not_(shared)
+        }
+        position = {n: i for i, n in enumerate(order)}
+        for n in order:
+            for c in formula._kids(n):
+                assert position[c] < position[n]
+        assert formula._order(root) is order  # cached on the root
+
+    def test_rewrite_keeps_untouched_nodes(self):
+        f = parse("(x1 & x2) | (x3 ^ x4)")
+        assert rewrite(f.root, lambda n, kids: None) is f.root
+        left = and_(var(1), var(2))
+        g = rewrite(f.root, lambda n, kids: const(1) if n is left else None)
+        assert g is const(1)
 
     def test_support(self):
         f = parse(FIG1)
@@ -262,6 +438,24 @@ class TestReluCompilation:
         net = compile_to_relu(f)
         assert net.forward(Assignment.from_string("0")) == 1
         assert net.forward(Assignment.from_string("1")) == 0
+
+    def test_gates_numbered_as_depth_first_pass_meets_them(self):
+        # A depth-first pass numbers the gates: the first two clauses (0, 1),
+        # their fold (2), the third clause (3), the last fold (4).  Units in a
+        # layer follow gate numbers, so layer 2 holds the fold (row 5) before
+        # the passthrough of the third clause (row 6).
+        net = compile_to_relu(parse("(x1 | x2) & (x2 | x3) & (x1 | x3)"))
+        assert net.layer_sizes == (3, 6, 7, 8, 1)
+        assert net.weights[1].tolist() == [
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, -1, -1, 0],
+            [0, 0, 0, 0, 0, 1],
+        ]
+        assert net.biases[1].tolist() == [0, 0, 0, 0, 0, 1, 0]
 
     def test_xor_expansion(self):
         self.exhaustive_agreement(parse("x1 ^ x2 ^ x3"))
