@@ -171,7 +171,6 @@ def _resolve_query(config: RunConfig, need_x: bool = True) -> RelevanceQuery:
             data["m"] = config.m
         if config.seed is not None:
             data["seed"] = config.seed
-        data.setdefault("k", 1)
         data.setdefault("delta", "1")
         try:
             return RelevanceQuery.from_json_dict(data)

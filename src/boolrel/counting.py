@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .formula import (
     SubsetMask,
     Var,
     Xor,
+    _LEAF_BITS,
+    _lane_blocks,
     _occurrences,
     _order,
-    _var_pattern,
     and_,
     const,
     evaluate,
@@ -75,11 +76,6 @@ __all__ = [
     "conditional_satisfaction_probability",
     "decompose_independent",
 ]
-
-# Free-variable blocks up to this size are enumerated directly; larger ones
-# go through the decomposition devices first.  Also the block width of every
-# enumeration: 2^16 positions are 8 KiB per lane.
-_LEAF_BITS = 16
 
 # Widest formula given an all-coalitions table: 2^20 int32 counts, 4 MiB.
 TABLE_CAP = 20
@@ -227,31 +223,6 @@ def _freshen(root: Node):
 # Bit-parallel enumeration over the free variables of a node.
 
 
-def _lane_blocks(
-    node: Node, free: list[int], base: dict[int, int]
-) -> Iterator[int]:
-    """Packed values of `node` at every position p < 2^len(free), by block.
-
-    At position p, variable free[j] is bit j of p XOR base.get(free[j], 0);
-    every other variable v is base[v].  Blocks hold 2^_LEAF_BITS positions
-    (fewer when fewer variables are free), in order of p: free[:_LEAF_BITS]
-    vary inside a block as pattern lanes and the rest are constant lanes,
-    fixed per block.  Each block's lanes are freed before the next is built,
-    so memory is bounded by the block, not by 2^len(free).
-    """
-    low = min(len(free), _LEAF_BITS)
-    size = 1 << low
-    full = (1 << size) - 1
-    lanes = {v: full if b else 0 for v, b in base.items()}
-    for j, v in enumerate(free[:low]):
-        lanes[v] = _var_pattern(j + 1, size) ^ lanes.get(v, 0)
-    high = [(v, base.get(v, 0)) for v in free[low:]]
-    for block in range(1 << len(high)):
-        for j, (v, b) in enumerate(high):
-            lanes[v] = full if ((block >> j) & 1) ^ b else 0
-        yield evaluate_lanes(node, lanes.__getitem__, full)
-
-
 def _masked_count(node: Node, free: list[int], fixed: dict[int, int]) -> int:
     """#{assignments to `free` satisfying node}, the rest read from `fixed`."""
     return sum(out.bit_count() for out in _lane_blocks(node, free, fixed))
@@ -289,9 +260,10 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
     rank.  y agrees with x on S exactly when S lies inside the set T where y
     and x agree, so c is the superset sum of h[T] = [f(y_T) = value], y_T
     being x with every variable outside T flipped.  h is evaluated in blocks
-    of 2^_LEAF_BITS positions (the top-rank variables fixed per block) and
-    the sum is taken in place, one variable at a time.  int32 holds every
-    count up to d = 30; callers cap d lower.
+    of 2^_LEAF_BITS positions (the top-rank variables fixed per block), each
+    block's byte lookups (the first 3 sum steps) are gathered straight into
+    the table, and the rest of the sum is taken in place, one variable at a
+    time.  int32 holds every count up to d = 30; callers cap d lower.
     """
     d = f.arity
     low = min(d, _LEAF_BITS)
@@ -307,10 +279,15 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
         if not value:
             out ^= full
         packed = np.frombuffer(out.to_bytes((size + 7) // 8, "little"), np.uint8)
-        # Blocks under 8 positions leave the byte's top bits 0: they add nothing.
-        counts[block * size : (block + 1) * size] = _BYTE_SUPERSETS[packed].ravel()[
-            :size
-        ]
+        rows = counts[block * size : (block + 1) * size]
+        if size < 8:
+            # The byte's top bits are 0 here: they add nothing.
+            rows[:] = _BYTE_SUPERSETS[packed[0], :size]
+        else:
+            # Each byte's 8 entries go straight into the table; bytes are
+            # always in range, and mode "raise" would buffer the output.
+            out_rows = rows.reshape(-1, 8)
+            np.take(_BYTE_SUPERSETS, packed, axis=0, out=out_rows, mode="clip")
     _superset_sum(counts, range(min(3, low), d))
     return counts
 
@@ -442,6 +419,8 @@ class ConditionalEvaluator:
     def _prob_uncached(
         self, node: Node, fixed: dict[int, int], supp: frozenset, free_count: int
     ) -> Fraction:
+        # Up to one block of free variables is enumerated directly; more go
+        # through the decomposition devices first.
         if free_count <= _LEAF_BITS:
             return self._enumerate(node, supp, fixed)
 

@@ -68,6 +68,9 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 26
 
+# Block width of every enumeration: 2^16 positions are 8 KiB per lane.
+_LEAF_BITS = 16
+
 
 class FormulaSyntaxError(ValueError):
     """Malformed formula text.  Carries the byte offset of the problem."""
@@ -763,14 +766,43 @@ def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
     return acc if ops else out
 
 
+def _lane_blocks(
+    node: Node, free: list[int], base: dict[int, int]
+) -> Iterator[int]:
+    """Packed values of `node` at every position p < 2^len(free), by block.
+
+    At position p, variable free[j] is bit j of p XOR base.get(free[j], 0);
+    every other variable v is base[v].  Blocks hold 2^_LEAF_BITS positions
+    (fewer when fewer variables are free), in order of p: free[:_LEAF_BITS]
+    vary inside a block as pattern lanes and the rest are constant lanes,
+    fixed per block.  Each block's lanes are freed before the next is built,
+    so memory is bounded by the block, not by 2^len(free).
+    """
+    low = min(len(free), _LEAF_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    lanes = {v: full if b else 0 for v, b in base.items()}
+    for j, v in enumerate(free[:low]):
+        lanes[v] = _var_pattern(j + 1, size) ^ lanes.get(v, 0)
+    high = [(v, base.get(v, 0)) for v in free[low:]]
+    for block in range(1 << len(high)):
+        for j, (v, b) in enumerate(high):
+            lanes[v] = full if ((block >> j) & 1) ^ b else 0
+        yield evaluate_lanes(node, lanes.__getitem__, full)
+
+
 def table_bits(node: Node, arity: int) -> int:
-    """Bit-parallel truth table of `node` over 2^arity assignments."""
-    size = 1 << arity
-    return evaluate_lanes(node, lambda i: _var_pattern(i, size), (1 << size) - 1)
+    """Bit-parallel truth table of `node` over 2^arity assignments, built
+    one block of positions at a time: bit j is the value at x_i = bit i-1
+    of j."""
+    nbytes = ((1 << min(arity, _LEAF_BITS)) + 7) // 8
+    blocks = _lane_blocks(node, list(range(1, arity + 1)), {})
+    data = b"".join([out.to_bytes(nbytes, "little") for out in blocks])
+    return int.from_bytes(data, "little")
 
 
 def truth_table(f: Formula, enum_cap: int = DEFAULT_ENUM_CAP) -> TruthTable:
-    """Full truth table, bit-parallel over machine-word blocks."""
+    """Full truth table, bit-parallel over blocks of 2^_LEAF_BITS positions."""
     if f.arity > enum_cap:
         raise EnumerationCapExceeded(f.arity, enum_cap, "truth table")
     return TruthTable(table_bits(f.root, f.arity), f.arity)

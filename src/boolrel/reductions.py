@@ -25,12 +25,12 @@ from fractions import Fraction
 from typing import Optional
 
 from ._intmath import ceil_log2, floor_log2, pow_bounds
-from .counting import _lane_blocks
 from .formula import (
     Assignment,
     EnumerationCapExceeded,
     Formula,
     Node,
+    _lane_blocks,
     and_,
     compose_variables,
     const,

@@ -3,18 +3,22 @@
 Exact operations compare dyadic probabilities against rational thresholds
 with integer arithmetic.  Subset searches return the first witness in
 size-then-lexicographic order.  A formula of d <= min(TABLE_CAP, enum_cap)
-variables is searched in its coalition table (counting.coalition_counts):
-every subset's count is compared with the per-size integer threshold and the
-smallest size's largest rank wins.  Wider formulas run a subset DFS whose
-branches are skipped only when a sound bound (conditioning on one more
-coordinate at most doubles a conditional probability) proves no witness can
-live below them, so pruning never changes the returned witness.
+variables is searched in its coalition table (counting.coalition_counts),
+size by size: only the ranks of the current size are gathered and compared
+with its integer threshold, and the first size with a hit returns its
+largest rank, so a witness of size s reads no larger set.  Wider formulas
+run a subset DFS whose branches are skipped only when a sound bound
+(conditioning on one more coordinate at most doubles a conditional
+probability) proves no witness can live below them, so pruning never
+changes the returned witness.
 
 Sampled operations draw n = ceil(2 ln 3 / gamma^2) assignments per run (exact,
 at most DEFAULT_SAMPLE_CAP, else SampleCapExceeded before any draw) from a
-64-bit-seeded Mersenne Twister (``random.Random``).  Each sample is one
-``getrandbits(width)`` word, one bit per free variable, none when nothing is
-free; the word's lowest bit feeds the smallest free index.  The words are
+64-bit-seeded Mersenne Twister (``random.Random``).  Each sample is the
+value ``getrandbits(width)`` would return, one bit per free variable, none
+when nothing is free; its lowest bit feeds the smallest free index.  A block
+of draws is taken with one ``getrandbits`` call that yields the same 32-bit
+outputs in the same order, so the transcript is unchanged.  The draws are
 bit-sliced (transposed so that bit s of a variable's lane is its value in
 draw s) and the formula is evaluated once over the lanes of a block of
 draws.  Sub-seeds for amplification rounds and per-candidate runs are
@@ -80,7 +84,6 @@ __all__ = [
 DEFAULT_SEARCH_CAP = 20
 DEFAULT_SAMPLE_CAP = 1 << 20  # draws per run; gamma = 1/690 (n = 1046099) fits
 _DRAW_BLOCK = 1 << 12  # draws per bit-parallel pass: bounds the lanes' memory
-_SCAN_BITS = 14  # coalition-table ranks compared per block
 
 
 class SearchCapExceeded(EnumerationCapExceeded):
@@ -144,7 +147,7 @@ class RelevanceQuery:
         return cls(
             f=f,
             x=x,
-            k=int(data["k"]),
+            k=int(data["k"]) if data.get("k") is not None else min(1, f.arity),
             delta=_rational(data["delta"]),
             gamma=_rational(data.get("gamma", 0)),
             s=s,
@@ -288,29 +291,33 @@ def _table_witness(
     """_first_witness read off a coalition table over the first k variables
     (2^k entries, x1 the top bit) of a d-variable formula.
 
-    Scans blocks from the top rank down, so the first hit of a size is its
-    lexicographically first set; later blocks only look for smaller sizes.
+    Scans size by size and stops at the first size with a hit, whose largest
+    hit rank is its lexicographically first set.  A rank splits into its
+    ceil(k/2) high bits and floor(k/2) low bits, so the ranks of size s are
+    the sums of a high part of popcount a and a low part of popcount s - a:
+    one gathered block of the table per split a, and no rank of a larger
+    size is read.
     """
     k = len(counts).bit_length() - 1
-    need = np.array(
-        [_count_threshold(threshold, d - s, strict) for s in range(k + 1)]
-    )
-    low = min(k, _SCAN_BITS)
-    low_sizes = rank_sizes(low)
-    best, limit = None, min(max_size, k)
-    for block in range((1 << (k - low)) - 1, -1, -1):
-        sizes = low_sizes + block.bit_count()
-        start = block << low
-        hit = (counts[start : start + (1 << low)] >= need[sizes]) & (sizes <= limit)
-        if hit.any():
-            size = int(sizes[hit].min())
-            best = start + int(np.flatnonzero(hit & (sizes == size))[-1]), size
-            limit = size - 1
-    if best is None:
-        return None
-    rank, size = best
-    witness = tuple(i for i in range(1, k + 1) if (rank >> (k - i)) & 1)
-    return witness, Fraction(int(counts[rank]), 1 << (d - size))
+    high, low = k - k // 2, k // 2
+    high_sizes, low_sizes = rank_sizes(high), rank_sizes(low)
+    # Per popcount, a column of high parts (shifted into place) and a row of
+    # low parts: a broadcast sum of one of each is a block of ranks.
+    highs = [np.flatnonzero(high_sizes == a)[:, None] << low for a in range(high + 1)]
+    lows = [np.flatnonzero(low_sizes == b) for b in range(low + 1)]
+    for size in range(min(max_size, k) + 1):
+        need = _count_threshold(threshold, d - size, strict)
+        best = -1
+        for a in range(max(0, size - low), min(high, size) + 1):
+            ranks = highs[a] + lows[size - a]
+            # Every rank is in range: "clip" only skips take's checked copy.
+            hit = counts.take(ranks, mode="clip") >= need
+            if hit.any():
+                best = max(best, int(ranks[hit].max()))
+        if best >= 0:
+            witness = tuple(i for i in range(1, k + 1) if (best >> (k - i)) & 1)
+            return witness, Fraction(int(counts[best]), 1 << (d - size))
+    return None
 
 
 def _witness_search(
@@ -325,7 +332,9 @@ def _witness_search(
     """
     d = f.arity
     if d <= min(TABLE_CAP, enum_cap):
-        counts = coalition_counts(f, x, target)[:: 1 << (d - width)]
+        # The scan gathers from the slice: copy it when it is strided.
+        table = coalition_counts(f, x, target)
+        counts = np.ascontiguousarray(table[:: 1 << (d - width)])
         return lambda max_size, threshold, strict: _table_witness(
             counts, d, max_size, threshold, strict
         )
@@ -456,13 +465,17 @@ class AmplifiedOutcome:
 
 def _draw_lanes(rng: random.Random, width: int, m: int) -> list[int]:
     """m draws of rng.getrandbits(width), transposed: bit s of lane j is bit
-    j of draw s."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(
-        [rng.getrandbits(width).to_bytes(nbytes, "little") for _ in range(m)]
-    )
-    words = np.frombuffer(raw, np.uint8).reshape(m, nbytes)
-    bits = np.unpackbits(words, axis=1, bitorder="little")[:, :width]
+    j of draw s.
+
+    getrandbits(width) takes W = ceil(width / 32) 32-bit outputs, lowest word
+    first, and keeps the top bits of the last one; one getrandbits(32 W m)
+    call takes the same outputs in the same order and keeps them whole.
+    """
+    words = -(-width // 32)
+    raw = rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little")
+    draws = np.frombuffer(raw, "<u4").reshape(m, words).copy()
+    draws[:, -1] >>= 32 * words - width
+    bits = np.unpackbits(draws.view(np.uint8), axis=1, bitorder="little")[:, :width]
     lanes = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in lanes]
 

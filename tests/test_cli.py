@@ -1,9 +1,13 @@
 import json
+import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolrel import cli
 from boolrel.cli import (
@@ -14,6 +18,8 @@ from boolrel.cli import (
     EXIT_YES,
     run,
 )
+from boolrel.formula import parse
+from oracles import random_formula
 
 
 def invoke(*argv):
@@ -489,3 +495,69 @@ class TestConsoleEntry:
         env = dict(os.environ, BOOLREL_SEARCH_CAP="10")
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_CAP
+
+
+# Flags each relevance subcommand takes besides --formula/--instance.
+ROUND_TRIP_FLAGS = {
+    "eval": ("x",),
+    "prob": (),
+    "check": ("x", "set", "delta"),
+    "decide": ("x", "k", "delta"),
+    "minimize": ("x", "delta"),
+    "sample": ("x", "set", "delta", "gamma", "seed"),
+    "decide-gapped": ("x", "k", "delta", "gamma", "seed", "rounds"),
+    "greedy": ("x", "delta", "gamma", "seed", "rounds"),
+    "shapley": ("x",),
+}
+
+
+class TestInstanceRoundTrip:
+    """An --instance file gives the report that the same flags give."""
+
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIP_FLAGS))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_instance_file_equals_flags(self, command, data):
+        d = data.draw(st.integers(1, 6), label="d")
+        rng = random.Random(data.draw(st.integers(0, 1 << 32), label="formula"))
+        text = str(random_formula(rng, d, 10))
+        if command == "prob":
+            d = parse(text).arity  # prob takes no --x to widen the formula
+        bits = st.text("01", min_size=d, max_size=d)
+        chosen = data.draw(bits, label="set")
+        values = {
+            "x": data.draw(bits, label="x"),
+            "k": data.draw(st.integers(min(1, d), d), label="k"),
+            "delta": data.draw(st.sampled_from(["1", "3/4", "2/3", "1/2"]), label="delta"),
+            "gamma": data.draw(st.sampled_from(["1/3", "1/4"]), label="gamma"),
+            "seed": data.draw(st.integers(0, (1 << 64) - 1), label="seed"),
+            "set": [i + 1 for i, b in enumerate(chosen) if b == "1"],
+            "rounds": data.draw(st.sampled_from([1, 3]), label="rounds"),
+        }
+        names = ROUND_TRIP_FLAGS[command]
+        flags = [command, "--formula", text]
+        instance = {"formula": text, "x": "0" * d}
+        for name in names:
+            value = values[name]
+            text_value = ",".join(map(str, value)) if name == "set" else str(value)
+            flags += [f"--{name}", text_value]
+            if name != "rounds":  # not an instance field
+                instance[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "instance.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(instance, handle)
+            from_file = [command, "--instance", path]
+            if "rounds" in names:
+                from_file += ["--rounds", str(values["rounds"])]
+            report = run(flags)
+            assert report[0] != EXIT_USAGE, report[1]
+            assert run(from_file) == report
+
+    def test_constant_formula_without_k(self, tmp_path):
+        # Arity 0: the default k is 0 on both paths, not 1.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"formula": "1", "x": ""}))
+        report = run(["prob", "--formula", "1"])
+        assert report[0] == EXIT_YES
+        assert run(["prob", "--instance", str(path)]) == report

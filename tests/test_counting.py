@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import boolrel.counting as counting
+import boolrel.formula as formula
 from boolrel.counting import (
     ConditionalEvaluator,
     DyadicProb,
@@ -27,6 +28,7 @@ from boolrel.formula import (
     not_,
     or_,
     parse,
+    truth_table,
     var,
     xor_all,
 )
@@ -39,6 +41,13 @@ from oracles import (
 )
 
 FIG1 = parse("(x1 & x2) | !x3")
+
+
+def _shrink_leaf(monkeypatch, bits: int):
+    """Blocks of 2^bits positions, and decomposition above `bits` free
+    variables."""
+    monkeypatch.setattr(formula, "_LEAF_BITS", bits)
+    monkeypatch.setattr(counting, "_LEAF_BITS", bits)
 
 
 class TestDyadicProb:
@@ -267,9 +276,7 @@ class TestForcedDecomposition:
     formulas."""
 
     def test_engine_matches_naive_with_tiny_leaf(self, monkeypatch):
-        import boolrel.counting as counting
-
-        monkeypatch.setattr(counting, "_LEAF_BITS", 2)
+        _shrink_leaf(monkeypatch, 2)
         rng = random.Random(314)
         for _ in range(150):
             d = rng.randint(3, 10)
@@ -283,9 +290,7 @@ class TestForcedDecomposition:
     def test_structured_guard_and_xor_shape(self, monkeypatch):
         # The shape the set-choice reduction emits: clause guards on (u, v)
         # plus a payload reading u and triple-XOR blocks.
-        import boolrel.counting as counting
-
-        monkeypatch.setattr(counting, "_LEAF_BITS", 3)
+        _shrink_leaf(monkeypatch, 3)
         rng = random.Random(278)
         for _ in range(40):
             k = rng.randint(1, 2)
@@ -364,7 +369,7 @@ class TestCoalitionCounts:
 
     def test_blocks_match_naive(self, monkeypatch):
         # Two-bit blocks: most variables are fixed per block.
-        monkeypatch.setattr(counting, "_LEAF_BITS", 2)
+        _shrink_leaf(monkeypatch, 2)
         rng = random.Random(81)
         for _ in range(30):
             d = rng.randint(1, 7)
@@ -410,7 +415,7 @@ class TestBlockedCount:
         # Blocks of 2^2 positions: free counts 0..9 fall below, at and above
         # the block width, and the fixed variables sit between free ones
         # inside the block as well as among the block-fixed ones above it.
-        monkeypatch.setattr(counting, "_LEAF_BITS", 2)
+        _shrink_leaf(monkeypatch, 2)
         rng = random.Random(83)
         widths = set()
         for _ in range(120):
@@ -465,3 +470,32 @@ class TestBlockedCount:
                 clause |= ((rows >> (abs(v) - 1)) & 1).astype(bool) == (v > 0)
             sat &= clause
         assert count == int(sat.sum())
+
+    def test_truth_table_memory_bounded_by_block(self):
+        # The 2^22-bit table is 512 KiB; the whole-range lanes it was once
+        # built from peaked at 60 MiB.
+        rng = random.Random(23)
+        d = 22
+        cnf = _random_3cnf(rng, d, 3 * d)
+        f = _cnf_formula(cnf, d)
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            bits = truth_table(f).bits
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert peak < 8 << 20, peak
+        # Bit j is the value at x_i = bit i-1 of j, from a numpy evaluation.
+        rows = np.arange(1 << d, dtype=np.uint32)
+        sat = np.ones(1 << d, dtype=bool)
+        for c in cnf:
+            clause = np.zeros(1 << d, dtype=bool)
+            for v in c:
+                clause |= ((rows >> (abs(v) - 1)) & 1).astype(bool) == (v > 0)
+            sat &= clause
+        want = np.packbits(sat, bitorder="little").tobytes()
+        assert bits == int.from_bytes(want, "little")

@@ -296,7 +296,7 @@ def _transcript_case(rng, width):
 class TestBitSlicedSampler:
     def test_transcript_matches_per_draw_reference(self):
         rng = random.Random(2025)
-        for width in (0, 1, 63, 64, 65, 130):
+        for width in (0, 1, 31, 32, 33, 63, 64, 65, 130):
             for n in (1, 7, 8, 55, 879):
                 f, x, free = _transcript_case(rng, width)
                 assert len(free) == width
@@ -649,6 +649,8 @@ class TestTableAndSearchPaths:
         assert not solve_ip1(Formula(var(2), 2), x, 1)
 
     def test_multi_block_table_matches_dfs(self):
+        # d = 17 builds its table in two blocks of leaf positions; k = 15
+        # and 17 split ranks into unequal halves, k = 16 into equal ones.
         rng = random.Random(90)
         for d in (15, 16, 17):
             f = random_formula(rng, d, 30)
@@ -658,6 +660,56 @@ class TestTableAndSearchPaths:
                     lambda: decide_relevant_input(f, x, 2, delta)
                 )
                 assert table == dfs
+
+    def test_first_set_in_a_later_block(self):
+        # Size 1 at k = 4: {3} and {4} have high part 00 and are gathered
+        # first, {1} and {2} (high parts 10 and 01) next.  {2} and {3} hit;
+        # the lexicographically first, {2}, is in the later block.
+        f = Formula(and_(var(2), var(3)), 4)
+        x = Assignment.from_string("1111")
+        search = relevance._witness_search(f, x, 1, 4, DEFAULT_ENUM_CAP)
+        assert search(4, Fraction(1, 2), False) == ((2,), Fraction(1, 2))
+        assert search(4, Fraction(1, 2), True) == ((2, 3), Fraction(1))
+        assert naive_witness(f, x, 1, 4, 4, Fraction(1, 2), False)[0] == (2,)
+
+    def test_odd_widths(self):
+        # Odd k: the high part has one bit more than the low part.
+        rng = random.Random(91)
+        for d in (5, 7, 9):
+            for _ in range(6):
+                f = random_formula(rng, d, 14)
+                x = random_assignment(rng, d)
+                target = rng.randint(0, 1)
+                search = relevance._witness_search(f, x, target, d, DEFAULT_ENUM_CAP)
+                for threshold in DELTAS:
+                    for strict in (False, True):
+                        args = (d, threshold, strict)
+                        want = naive_witness(f, x, target, d, *args)
+                        assert search(*args) == want, (str(f), str(x), args)
+
+    def test_widths_zero_and_one(self):
+        f = parse("(x1 & x2) | !x3")
+        x = Assignment.from_string("110")
+        for width in (0, 1):
+            for target in (0, 1):
+                search = relevance._witness_search(f, x, target, width, DEFAULT_ENUM_CAP)
+                for threshold in DELTAS:
+                    for strict in (False, True):
+                        args = (width, threshold, strict)
+                        want = naive_witness(f, x, target, width, *args)
+                        assert search(*args) == want, (width, target, args)
+
+    def test_full_depth_parity(self):
+        # Every proper subset leaves parity at 1/2: only all 20 variables
+        # reach delta = 1, so every size is scanned.
+        d = 20
+        f = Formula(xor_all(var(i) for i in range(1, d + 1)), d)
+        x = Assignment(0b1011, d)
+        k, witness = solve_min_relevant_input(f, x, Fraction(1))
+        assert (k, witness) == (d, SubsetMask.full(d))
+        report = decide_relevant_input(f, x, d, Fraction(1))
+        assert report.witness == SubsetMask.full(d)
+        assert report.probability == 1
 
     def test_path_rule(self, monkeypatch):
         def refuse(*args):
