@@ -1,8 +1,17 @@
 """Command-line front door.
 
 One subcommand per library operation; every run emits a single JSON report
-with all result-influencing parameters echoed, so identical invocations
-(including the seed) produce byte-identical reports.
+whose ``parameters`` echo everything that influences the result, so
+identical invocations (including the seed) produce byte-identical reports.
+
+The query subcommands (eval through compile-relu) are declared once, in
+_ROWS: a row names the flags its subcommand reads besides --formula,
+--instance and --output.  The row builds the subparser, its flags are laid
+over the --instance object (or over {"formula": ...}) that
+RelevanceQuery.from_json_dict reads, and it lists the ``parameters`` keys
+besides formula and arity.  --enum-cap and --search-cap exist only where the
+cap is passed on; an unset one falls back to BOOLREL_ENUM_CAP /
+BOOLREL_SEARCH_CAP, then to the library default.
 
 Exit codes: 0 Yes/success, 1 No, 2 Indeterminate or outside-promise,
 64 usage error, 65 cap refusal, 70 internal error (a JSON report, not a
@@ -17,7 +26,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -29,16 +37,14 @@ from .counting import (
     satisfaction_probability,
 )
 from .formula import (
-    Assignment,
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
-    Formula,
     FormulaSyntaxError,
-    SubsetMask,
     compile_to_relu,
     evaluate,
     parse,
     render,
+    table_bits,
 )
 from .gadgets import build_pi, lower_probability_gadget, raise_probability_gadget
 from .reductions import (
@@ -54,6 +60,7 @@ from .relevance import (
     DEFAULT_SEARCH_CAP,
     RelevanceQuery,
     Verdict,
+    _rational as _exact_rational,
     decide_gapped,
     decide_relevant_input,
     greedy_min_relevant,
@@ -62,7 +69,7 @@ from .relevance import (
 )
 from .shapley import shapley_values
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -81,44 +88,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand plus every result-relevant setting."""
+def _indices(text: str) -> list[int]:
+    """--set: comma-separated variable indices, empty for the empty set."""
+    return [int(part) for part in text.split(",")] if text.strip() else []
 
-    command: str
-    formula: Optional[str] = None
-    instance_path: Optional[str] = None
-    x: Optional[str] = None
-    subset: Optional[str] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
-    delta: Optional[str] = None
-    gamma: Optional[str] = None
-    seed: Optional[int] = None
-    rounds: Optional[int] = None
-    enum_cap: int = DEFAULT_ENUM_CAP
-    search_cap: int = DEFAULT_SEARCH_CAP
-    output: Optional[str] = None
-    extras: dict = field(default_factory=dict)
+
+# argparse keywords of every flag a query subcommand can read.
+_FLAGS = {
+    "x": dict(help="assignment bitstring, leftmost bit is x1"),
+    "set": dict(type=_indices, help="comma-separated indices, empty for {}"),
+    "k": dict(type=int),
+    "delta": dict(help="rational threshold, 'p/q' or decimal"),
+    "gamma": dict(help="rational gap, 'p/q' or decimal"),
+    "seed": dict(type=int, help="64-bit run seed"),
+    "rounds": dict(type=int, default=15, help="amplification rounds (odd)"),
+    "enum_cap": dict(type=int),
+    "search_cap": dict(type=int),
+}
+
+# The flags each query subcommand reads, besides --formula, --instance and
+# --output.  A subcommand refuses every other flag, and its report's
+# parameters are formula, arity and exactly these.
+_ROWS = {
+    "eval": ("x",),
+    "prob": ("enum_cap",),
+    "check": ("x", "set", "delta", "enum_cap"),
+    "decide": ("x", "k", "delta", "search_cap", "enum_cap"),
+    "minimize": ("x", "delta", "search_cap", "enum_cap"),
+    "sample": ("x", "set", "delta", "gamma", "seed"),
+    "decide-gapped": ("x", "k", "delta", "gamma", "seed", "rounds", "search_cap"),
+    "greedy": ("x", "delta", "gamma", "seed", "rounds", "enum_cap"),
+    "shapley": ("x",),
+    "compile-relu": (),
+}
+
+# Cap flag -> (environment variable, default) an unset flag falls back to.
+_CAPS = {
+    "enum_cap": ("BOOLREL_ENUM_CAP", DEFAULT_ENUM_CAP),
+    "search_cap": ("BOOLREL_SEARCH_CAP", DEFAULT_SEARCH_CAP),
+}
 
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as err:
+        return _exact_rational(text)
+    except ValueError as err:
         raise UsageError(f"not a rational number: {text!r}") from err
 
 
-def _parse_subset(text: str, arity: int) -> SubsetMask:
-    text = text.strip()
-    if not text:
-        return SubsetMask.empty(arity)
+def _refusing(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the ValueError it raises on an argument it
+    refuses reported as a usage error."""
     try:
-        indices = [int(part) for part in text.split(",")]
-    except ValueError as err:
-        raise UsageError(f"bad subset syntax: {text!r}") from err
-    try:
-        return SubsetMask.from_indices(indices, arity)
+        return fn(*args, **kwargs)
     except ValueError as err:
         raise UsageError(str(err)) from err
 
@@ -155,79 +177,43 @@ def _load_problem(path: str) -> ProblemInstance:
         raise UsageError(f"bad instance file: {err}") from err
 
 
-def _resolve_query(config: RunConfig, need_x: bool = True) -> RelevanceQuery:
-    """Build the relevance query from exactly one input source."""
-    if (config.instance_path is None) == (config.formula is None):
+def _query(ns: argparse.Namespace) -> RelevanceQuery:
+    """The query of exactly one of --instance and --formula, with the
+    subcommand's flags laid over it."""
+    if (ns.instance is None) == (ns.formula is None):
         raise UsageError("provide exactly one of --instance or --formula")
-    if config.instance_path is not None:
-        data = _load_instance_file(config.instance_path)
-        if config.delta is not None:
-            data["delta"] = config.delta
-        if config.gamma is not None:
-            data["gamma"] = config.gamma
-        if config.k is not None:
-            data["k"] = config.k
-        if config.m is not None:
-            data["m"] = config.m
-        if config.seed is not None:
-            data["seed"] = config.seed
-        data.setdefault("delta", "1")
-        try:
-            return RelevanceQuery.from_json_dict(data)
-        except (KeyError, ValueError) as err:
-            raise UsageError(f"bad instance file: {err}") from err
-    try:
-        f = parse(config.formula)
-    except FormulaSyntaxError as err:
-        raise UsageError(str(err)) from err
-    if need_x:
-        if config.x is None:
-            raise UsageError("--x is required")
-        try:
-            x = Assignment.from_string(config.x)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        if x.length > f.arity:
-            f = Formula(f.root, x.length)
-        if x.length != f.arity:
-            raise UsageError(
-                f"--x has length {x.length} but the formula needs {f.arity}"
-            )
+    row = _ROWS[ns.command]
+    if ns.instance is not None:
+        data = _load_instance_file(ns.instance)
     else:
-        x = Assignment.zeros(f.arity)
+        data = {"formula": ns.formula}
+    # from_json_dict reads only the query's fields (not rounds or the caps).
+    data.update((name, getattr(ns, name)) for name in row
+                if getattr(ns, name) is not None)
+    data.setdefault("delta", "1")
+    if "set" in row and data.get("set") is None:
+        data["set"] = []
+    # Subcommands that do not read x take all zeros, unless an instance
+    # file is given: it must carry its x.
+    if data.get("x") is None and ("x" in row or ns.instance is not None):
+        raise UsageError("the query needs an assignment: --x or the instance's x")
     try:
-        return RelevanceQuery(
-            f=f,
-            x=x,
-            k=config.k if config.k is not None else min(1, f.arity),
-            delta=_rational(config.delta) if config.delta else Fraction(1),
-            gamma=_rational(config.gamma) if config.gamma else Fraction(0),
-            m=config.m,
-            seed=config.seed,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+        query = RelevanceQuery.from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"bad query: {err}") from err
+    if "seed" in row and query.seed is None:
+        raise UsageError("sampling subcommands require --seed")
+    if "gamma" in row and query.gamma == 0:
+        raise UsageError("sampling subcommands require a positive --gamma")
+    return query
 
 
-def _echo(
-    config: RunConfig,
-    query: Optional[RelevanceQuery] = None,
-    with_x: bool = True,
-    **extra,
-) -> dict:
-    """Everything that influences the result, normalised."""
-    out = {
-        "enum_cap": config.enum_cap,
-        "search_cap": config.search_cap,
-    }
-    if query is not None:
-        out["formula"] = str(query.f)
-        out["arity"] = query.f.arity
-        if with_x:
-            out["x"] = str(query.x)
-    for key, value in extra.items():
-        if value is not None:
-            out[key] = value
+def _echo(ns: argparse.Namespace, query: RelevanceQuery) -> dict:
+    """formula, arity and the subcommand's row, as resolved."""
+    resolved = query.to_json_dict()
+    out = {"formula": resolved["formula"], "arity": query.f.arity}
+    for name in _ROWS[ns.command]:
+        out[name] = resolved[name] if name in resolved else getattr(ns, name)
     return out
 
 
@@ -240,80 +226,60 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 # --------------------------------------------------------------------------
-# Handlers.  Each returns (exit_code, result_dict, parameter_echo).
+# Handlers.  Each takes the parsed namespace and returns
+# (exit_code, result_dict, parameter_echo).
 
 
-def _cmd_eval(config: RunConfig):
-    query = _resolve_query(config)
-    value = evaluate(query.f, query.x)
-    return EXIT_YES, {"value": value}, _echo(config, query)
+def _cmd_eval(ns):
+    query = _query(ns)
+    return EXIT_YES, {"value": evaluate(query.f, query.x)}, _echo(ns, query)
 
 
-def _cmd_prob(config: RunConfig):
-    query = _resolve_query(config, need_x=False)
-    p = satisfaction_probability(query.f, config.enum_cap)
-    return EXIT_YES, {"probability": _prob_json(p)}, _echo(config, query, with_x=False)
+def _cmd_prob(ns):
+    query = _query(ns)
+    p = satisfaction_probability(query.f, ns.enum_cap)
+    return EXIT_YES, {"probability": _prob_json(p)}, _echo(ns, query)
 
 
-def _resolve_subset(config: RunConfig, query: RelevanceQuery) -> SubsetMask:
-    if config.subset is not None:
-        return _parse_subset(config.subset, query.f.arity)
-    if query.s is not None:
-        return query.s
-    return SubsetMask.empty(query.f.arity)
-
-
-def _cmd_check(config: RunConfig):
-    query = _resolve_query(config)
-    subset = _resolve_subset(config, query)
-    p = conditional_agreement_probability(query.f, query.x, subset, config.enum_cap)
+def _cmd_check(ns):
+    query = _query(ns)
+    p = conditional_agreement_probability(query.f, query.x, query.s, ns.enum_cap)
     relevant = p >= query.delta
     result = {
         "verdict": "yes" if relevant else "no",
         "probability": _prob_json(p),
-        "set": list(subset.indices()),
+        "set": list(query.s.indices()),
     }
-    echo = _echo(config, query, delta=str(query.delta), set=list(subset.indices()))
-    return (EXIT_YES if relevant else EXIT_NO), result, echo
+    return (EXIT_YES if relevant else EXIT_NO), result, _echo(ns, query)
 
 
-def _cmd_decide(config: RunConfig):
-    query = _resolve_query(config)
-    report = decide_relevant_input(
-        query.f, query.x, query.k, query.delta, config.search_cap, config.enum_cap
+def _cmd_decide(ns):
+    query = _query(ns)
+    report = _refusing(
+        decide_relevant_input,
+        query.f, query.x, query.k, query.delta, ns.search_cap, ns.enum_cap,
     )
     result = {"verdict": report.verdict.value, "method": report.method}
     if report.witness is not None:
         result["witness"] = list(report.witness.indices())
     if report.probability is not None:
         result["probability"] = _prob_json(report.probability)
-    echo = _echo(config, query, k=query.k, delta=str(query.delta))
-    return _verdict_exit(report.verdict), result, echo
+    return _verdict_exit(report.verdict), result, _echo(ns, query)
 
 
-def _cmd_minimize(config: RunConfig):
-    query = _resolve_query(config)
+def _cmd_minimize(ns):
+    query = _query(ns)
     k_star, witness = solve_min_relevant_input(
-        query.f, query.x, query.delta, config.search_cap, config.enum_cap
+        query.f, query.x, query.delta, ns.search_cap, ns.enum_cap
     )
     result = {"k": k_star, "witness": list(witness.indices())}
-    echo = _echo(config, query, delta=str(query.delta))
-    return EXIT_YES, result, echo
+    return EXIT_YES, result, _echo(ns, query)
 
 
-def _require_seed(query: RelevanceQuery):
-    if query.seed is None:
-        raise UsageError("sampling subcommands require --seed")
-
-
-def _cmd_sample(config: RunConfig):
-    query = _resolve_query(config)
-    _require_seed(query)
-    if query.gamma == 0:
-        raise UsageError("sampling requires a positive --gamma")
-    subset = _resolve_subset(config, query)
+def _cmd_sample(ns):
+    query = _query(ns)
     outcome = sample_relevance(
-        query.f, query.x, subset, query.delta, query.gamma, query.seed
+        query.f, query.x, query.s, query.delta, query.gamma, query.seed
     )
     result = {
         "verdict": outcome.verdict.value,
@@ -322,32 +288,14 @@ def _cmd_sample(config: RunConfig):
         "samples": outcome.samples,
         "threshold": str(query.delta - query.gamma / 2),
     }
-    echo = _echo(
-        config,
-        query,
-        delta=str(query.delta),
-        gamma=str(query.gamma),
-        seed=query.seed,
-        set=list(subset.indices()),
-    )
-    return _verdict_exit(outcome.verdict), result, echo
+    return _verdict_exit(outcome.verdict), result, _echo(ns, query)
 
 
-def _cmd_decide_gapped(config: RunConfig):
-    query = _resolve_query(config)
-    _require_seed(query)
-    if query.gamma == 0:
-        raise UsageError("the gapped decision requires a positive --gamma")
-    rounds = config.rounds if config.rounds is not None else 15
-    report = decide_gapped(
-        query.f,
-        query.x,
-        query.k,
-        query.delta,
-        query.gamma,
-        query.seed,
-        rounds=rounds,
-        search_cap=config.search_cap,
+def _cmd_decide_gapped(ns):
+    query = _query(ns)
+    report = _refusing(
+        decide_gapped, query.f, query.x, query.k, query.delta, query.gamma,
+        query.seed, rounds=ns.rounds, search_cap=ns.search_cap,
     )
     result = {
         "verdict": report.verdict.value,
@@ -357,43 +305,16 @@ def _cmd_decide_gapped(config: RunConfig):
     }
     if report.witness is not None:
         result["witness"] = list(report.witness.indices())
-    echo = _echo(
-        config,
-        query,
-        k=query.k,
-        delta=str(query.delta),
-        gamma=str(query.gamma),
-        seed=query.seed,
-        rounds=rounds,
-    )
-    return _verdict_exit(report.verdict), result, echo
+    return _verdict_exit(report.verdict), result, _echo(ns, query)
 
 
-def _cmd_greedy(config: RunConfig):
-    query = _resolve_query(config)
-    _require_seed(query)
-    if query.gamma == 0:
-        raise UsageError("the greedy solver requires a positive --gamma")
-    rounds = config.rounds if config.rounds is not None else 15
-    k, witness = greedy_min_relevant(
-        query.f,
-        query.x,
-        query.delta,
-        query.gamma,
-        query.seed,
-        rounds=rounds,
-        enum_cap=config.enum_cap,
+def _cmd_greedy(ns):
+    query = _query(ns)
+    k, witness = _refusing(
+        greedy_min_relevant, query.f, query.x, query.delta, query.gamma,
+        query.seed, rounds=ns.rounds, enum_cap=ns.enum_cap,
     )
-    result = {"k": k, "set": list(witness.indices())}
-    echo = _echo(
-        config,
-        query,
-        delta=str(query.delta),
-        gamma=str(query.gamma),
-        seed=query.seed,
-        rounds=rounds,
-    )
-    return EXIT_YES, result, echo
+    return EXIT_YES, {"k": k, "set": list(witness.indices())}, _echo(ns, query)
 
 
 def _gadget_json(gadget) -> dict:
@@ -409,25 +330,16 @@ def _gadget_json(gadget) -> dict:
     }
 
 
-def _cmd_gadget(config: RunConfig):
-    mode = config.extras["mode"]
-    if mode == "pi":
-        eta = _rational(config.extras["eta"])
-        ell = config.extras["ell"]
-        try:
-            gadget = build_pi(eta, ell)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        echo = dict(_echo(config), eta=str(eta), ell=ell)
+def _cmd_gadget(ns):
+    if ns.mode == "pi":
+        eta = _rational(ns.eta)
+        gadget = _refusing(build_pi, eta, ns.ell)
+        echo = {"eta": str(eta), "ell": ns.ell}
         return EXIT_YES, {"gadget": _gadget_json(gadget)}, echo
-    d = config.extras["d"]
-    delta1 = _rational(config.extras["delta1"])
-    delta2 = _rational(config.extras["delta2"])
-    builder = raise_probability_gadget if mode == "raise" else lower_probability_gadget
-    try:
-        shift = builder(d, delta1, delta2)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    delta1 = _rational(ns.delta1)
+    delta2 = _rational(ns.delta2)
+    builder = raise_probability_gadget if ns.mode == "raise" else lower_probability_gadget
+    shift = _refusing(builder, ns.d, delta1, delta2)
     result = {
         "gadget": _gadget_json(shift.gadget),
         "attach": shift.attach,
@@ -435,7 +347,7 @@ def _cmd_gadget(config: RunConfig):
     }
     if shift.interval is not None:
         result["interval"] = [str(shift.interval[0]), str(shift.interval[1])]
-    echo = dict(_echo(config), d=d, delta1=str(delta1), delta2=str(delta2))
+    echo = {"d": ns.d, "delta1": str(delta1), "delta2": str(delta2)}
     return EXIT_YES, result, echo
 
 
@@ -447,22 +359,22 @@ _REDUCE_SOURCE_KIND = {
 }
 
 
-def _cmd_reduce(config: RunConfig):
-    step = config.extras["step"]
+def _cmd_reduce(ns):
+    step = ns.step
     want_kind = _REDUCE_SOURCE_KIND[step]
-    if config.instance_path is not None:
-        source = _load_problem(config.instance_path)
-    elif config.formula is not None and want_kind in ("sat", "emajsat"):
+    if ns.instance is not None:
+        source = _load_problem(ns.instance)
+    elif ns.formula is not None and want_kind in ("sat", "emajsat"):
         try:
-            f = parse(config.formula)
+            f = parse(ns.formula)
         except FormulaSyntaxError as err:
             raise UsageError(str(err)) from err
         if want_kind == "sat":
             source = ProblemInstance(kind="sat", f=f)
+        elif ns.k is None:
+            raise UsageError("emajsat sources need --k")
         else:
-            if config.k is None:
-                raise UsageError("emajsat sources need --k")
-            source = ProblemInstance(kind="emajsat", f=f, k=config.k)
+            source = _refusing(ProblemInstance, kind="emajsat", f=f, k=ns.k)
     else:
         raise UsageError("provide --instance (or --formula for sat/emajsat sources)")
     if source.kind != want_kind:
@@ -473,105 +385,81 @@ def _cmd_reduce(config: RunConfig):
         if step == "emajsat-ip1":
             reduced = reduce_emajsat_to_ip1(source)
         elif step == "ip1-ip2":
-            if config.delta is None:
+            if ns.delta is None:
                 raise UsageError("ip1-ip2 needs --delta")
-            reduced = reduce_ip1_to_ip2(source, _rational(config.delta))
+            reduced = reduce_ip1_to_ip2(source, _rational(ns.delta))
         elif step == "ip2-ri":
-            delta = _rational(config.delta) if config.delta else None
+            delta = _rational(ns.delta) if ns.delta else None
             reduced = reduce_ip2_to_relevant_input(source, delta)
         else:
-            if config.delta is None or config.gamma is None:
+            if ns.delta is None or ns.gamma is None:
                 raise UsageError("sat-ip3 needs --delta and --gamma")
             reduced = reduce_sat_to_ip3(
-                source.f, _rational(config.delta), _rational(config.gamma), config.m
+                source.f, _rational(ns.delta), _rational(ns.gamma), ns.m
             )
     except ValueError as err:
         raise UsageError(str(err)) from err
     result = {"instance": reduced.to_json_dict()}
-    echo = dict(
-        _echo(config),
-        step=step,
-        source=source.to_json_dict(),
-        delta=config.delta,
-        gamma=config.gamma,
-        m=config.m,
-    )
+    echo = {
+        "step": step,
+        "source": source.to_json_dict(),
+        "delta": ns.delta,
+        "gamma": ns.gamma,
+        "m": ns.m,
+    }
     echo = {k: v for k, v in echo.items() if v is not None}
     return EXIT_YES, result, echo
 
 
-def _cmd_verify(config: RunConfig):
-    source = _load_problem(config.extras["source"])
-    reduced = _load_problem(config.extras["reduced"])
-    try:
-        check = verify_reduction(source, reduced)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    result = check.to_json_dict()
-    echo = dict(
-        _echo(config),
-        source=config.extras["source"],
-        reduced=config.extras["reduced"],
-    )
+def _cmd_verify(ns):
+    source = _load_problem(ns.source)
+    reduced = _load_problem(ns.reduced)
+    check = _refusing(verify_reduction, source, reduced)
+    echo = {"source": ns.source, "reduced": ns.reduced}
     if check.skipped:
-        return EXIT_INDETERMINATE, result, echo
-    return (EXIT_YES if check.passed else EXIT_NO), result, echo
+        return EXIT_INDETERMINATE, check.to_json_dict(), echo
+    return (EXIT_YES if check.passed else EXIT_NO), check.to_json_dict(), echo
 
 
-def _cmd_inapprox(config: RunConfig):
-    try:
-        record = inapprox_parameters(
-            config.extras["d"],
-            _rational(config.delta),
-            _rational(config.gamma),
-            _rational(config.extras["alpha"]),
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    echo = dict(
-        _echo(config),
-        d=config.extras["d"],
-        delta=config.delta,
-        gamma=config.gamma,
-        alpha=config.extras["alpha"],
+def _cmd_inapprox(ns):
+    record = _refusing(
+        inapprox_parameters,
+        ns.d, _rational(ns.delta), _rational(ns.gamma), _rational(ns.alpha),
     )
+    echo = {"d": ns.d, "delta": ns.delta, "gamma": ns.gamma, "alpha": ns.alpha}
     return (EXIT_YES if record.check else EXIT_NO), record.to_json_dict(), echo
 
 
-def _cmd_shapley(config: RunConfig):
-    query = _resolve_query(config)
+def _cmd_shapley(ns):
+    query = _query(ns)
     vector = shapley_values(query.f, query.x)
     result = {
         "phi": [str(v) for v in vector.values],
         "nu_full": str(vector.grand_value),
         "efficiency_check": vector.is_efficient(),
     }
-    return EXIT_YES, result, _echo(config, query)
+    return EXIT_YES, result, _echo(ns, query)
 
 
-def _cmd_compile_relu(config: RunConfig):
-    query = _resolve_query(config, need_x=False)
+def _cmd_compile_relu(ns):
+    query = _query(ns)
     net = compile_to_relu(query.f)
+    d = query.f.arity
     agreement = True
-    if query.f.arity <= 16:
-        size = 1 << query.f.arity
-        inputs = np.array(
-            [[(j >> i) & 1 for i in range(query.f.arity)] for j in range(size)],
-            dtype=np.int64,
-        )
-        outputs = net.forward_batch(inputs)
-        agreement = all(
-            int(outputs[j]) == evaluate(query.f, Assignment.from_index(j, query.f.arity))
-            for j in range(size)
-        )
+    if d <= 16:
+        # Row j of the inputs is assignment j of the truth-table order.
+        inputs = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+        outputs = np.packbits(net.forward_batch(inputs).astype(np.uint8),
+                              bitorder="little")
+        agreement = (int.from_bytes(outputs.tobytes(), "little")
+                     == table_bits(query.f.root, d))
     result = {
         "layer_sizes": list(net.layer_sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "agreement_checked": agreement,
     }
-    echo = _echo(config, query, with_x=False)
-    return (EXIT_YES if agreement else EXIT_NO), result, echo
+    return (EXIT_YES if agreement else EXIT_NO), result, _echo(ns, query)
 
 
 _HANDLERS = {
@@ -599,33 +487,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="boolrel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formula=True, x=False, needs_set=False, sampling=False, k=False):
+    for command, row in _ROWS.items():
+        p = sub.add_parser(command)
         p.add_argument("--instance", help="JSON instance file")
-        if formula:
-            p.add_argument("--formula", help="formula text, e.g. '(x1 & x2) | !x3'")
-        if x:
-            p.add_argument("--x", help="assignment bitstring, leftmost bit is x1")
-        if needs_set:
-            p.add_argument("--set", help="comma-separated indices, empty for {}")
-        if k:
-            p.add_argument("--k", type=int)
-        p.add_argument("--delta", help="rational threshold, 'p/q' or decimal")
-        p.add_argument("--gamma", help="rational gap, 'p/q' or decimal")
-        if sampling:
-            p.add_argument("--seed", type=int, help="64-bit run seed")
-            p.add_argument("--rounds", type=int, help="amplification rounds (odd)")
-        p.add_argument("--enum-cap", type=int, dest="enum_cap")
-        p.add_argument("--search-cap", type=int, dest="search_cap")
+        p.add_argument("--formula", help="formula text, e.g. '(x1 & x2) | !x3'")
+        for name in row:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
         p.add_argument("--output", help="write the report to this path")
-
-    common(sub.add_parser("eval"), x=True)
-    common(sub.add_parser("prob"))
-    common(sub.add_parser("check"), x=True, needs_set=True)
-    common(sub.add_parser("decide"), x=True, k=True)
-    common(sub.add_parser("minimize"), x=True)
-    common(sub.add_parser("sample"), x=True, needs_set=True, sampling=True)
-    common(sub.add_parser("decide-gapped"), x=True, k=True, sampling=True)
-    common(sub.add_parser("greedy"), x=True, sampling=True)
 
     gadget = sub.add_parser("gadget")
     gadget_sub = gadget.add_subparsers(dest="mode", required=True)
@@ -638,7 +506,6 @@ def _build_parser() -> _Parser:
         gp.add_argument("--delta1", required=True)
         gp.add_argument("--delta2", required=True)
     for gp in gadget_sub.choices.values():
-        gp.add_argument("--enum-cap", type=int, dest="enum_cap")
         gp.add_argument("--output")
 
     reduce_p = sub.add_parser("reduce")
@@ -651,15 +518,11 @@ def _build_parser() -> _Parser:
     reduce_p.add_argument("--m", type=int)
     reduce_p.add_argument("--delta")
     reduce_p.add_argument("--gamma")
-    reduce_p.add_argument("--enum-cap", type=int, dest="enum_cap")
-    reduce_p.add_argument("--search-cap", type=int, dest="search_cap")
     reduce_p.add_argument("--output")
 
     verify_p = sub.add_parser("verify")
     verify_p.add_argument("--source", required=True)
     verify_p.add_argument("--reduced", required=True)
-    verify_p.add_argument("--enum-cap", type=int, dest="enum_cap")
-    verify_p.add_argument("--search-cap", type=int, dest="search_cap")
     verify_p.add_argument("--output")
 
     inapprox = sub.add_parser("inapprox-params")
@@ -668,9 +531,6 @@ def _build_parser() -> _Parser:
     inapprox.add_argument("--gamma", required=True)
     inapprox.add_argument("--alpha", required=True)
     inapprox.add_argument("--output")
-
-    common(sub.add_parser("shapley"), x=True)
-    common(sub.add_parser("compile-relu"))
     return parser
 
 
@@ -684,65 +544,19 @@ def _env_cap(name: str, fallback: int) -> int:
         raise UsageError(f"{name} must be an integer, got {raw!r}") from err
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    extras = {}
-    if ns.command == "gadget":
-        extras["mode"] = ns.mode
-        if ns.mode == "pi":
-            extras["eta"] = ns.eta
-            extras["ell"] = ns.ell
-        else:
-            extras["d"] = ns.d
-            extras["delta1"] = ns.delta1
-            extras["delta2"] = ns.delta2
-    elif ns.command == "reduce":
-        extras["step"] = ns.step
-    elif ns.command == "verify":
-        extras["source"] = ns.source
-        extras["reduced"] = ns.reduced
-    elif ns.command == "inapprox-params":
-        extras["d"] = ns.d
-        extras["alpha"] = ns.alpha
-
-    def get(name, default=None):
-        return getattr(ns, name, default)
-
-    enum_cap = get("enum_cap")
-    if enum_cap is None:
-        enum_cap = _env_cap("BOOLREL_ENUM_CAP", DEFAULT_ENUM_CAP)
-    search_cap = get("search_cap")
-    if search_cap is None:
-        search_cap = _env_cap("BOOLREL_SEARCH_CAP", DEFAULT_SEARCH_CAP)
-    return RunConfig(
-        command=ns.command,
-        formula=get("formula"),
-        instance_path=get("instance"),
-        x=get("x"),
-        subset=get("set"),
-        k=get("k"),
-        m=get("m"),
-        delta=get("delta"),
-        gamma=get("gamma"),
-        seed=get("seed"),
-        rounds=get("rounds"),
-        enum_cap=enum_cap,
-        search_cap=search_cap,
-        output=get("output"),
-        extras=extras,
-    )
-
-
 def run(argv: list[str]) -> tuple[int, str, Optional[str]]:
     """Execute one invocation; returns (exit_code, report_text, output_path)."""
     parser = _build_parser()
     output = None
     try:
         ns = parser.parse_args(argv)
-        config = _config_from_namespace(ns)
-        output = config.output
-        code, result, echo = _HANDLERS[config.command](config)
+        for name, (env, default) in _CAPS.items():
+            if getattr(ns, name, default) is None:  # absent where not read
+                setattr(ns, name, _env_cap(env, default))
+        output = ns.output
+        code, result, echo = _HANDLERS[ns.command](ns)
         report = {
-            "command": config.command,
+            "command": ns.command,
             "parameters": echo,
             "result": result,
             "exit_code": code,

@@ -45,6 +45,7 @@ from .formula import (
 from .gadgets import raise_probability_gadget
 from .relevance import (
     Verdict,
+    _rational,
     decide_relevant_input,
     solve_emajsat,
     solve_ip1,
@@ -151,8 +152,8 @@ class ProblemInstance:
             x=x,
             k=int(data["k"]) if data.get("k") is not None else None,
             m=int(data["m"]) if data.get("m") is not None else None,
-            delta=Fraction(str(data["delta"])) if data.get("delta") is not None else None,
-            gamma=Fraction(str(data["gamma"])) if data.get("gamma") is not None else None,
+            delta=_rational(data["delta"]) if data.get("delta") is not None else None,
+            gamma=_rational(data["gamma"]) if data.get("gamma") is not None else None,
             layout=layout,
         )
 

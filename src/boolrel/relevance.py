@@ -135,8 +135,13 @@ class RelevanceQuery:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelevanceQuery":
+        """The query a JSON object describes; x defaults to all zeros and k
+        to min(1, d)."""
         f = parse(data["formula"])
-        x = Assignment.from_string(data["x"])
+        if data.get("x") is None:
+            x = Assignment.zeros(f.arity)
+        else:
+            x = Assignment.from_string(data["x"])
         if x.length > f.arity:
             f = Formula(f.root, x.length)
         s = None
@@ -173,7 +178,9 @@ class RelevanceQuery:
 
 
 def _rational(value) -> Fraction:
-    """Exact rational from "p/q", a finite decimal string, or an int."""
+    """Exact rational from "p/q", a finite decimal string, or an int.
+
+    Anything else, a zero denominator included, is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -182,7 +189,10 @@ def _rational(value) -> Fraction:
         # JSON numbers arrive as floats; convert through the shortest decimal
         # representation so "0.95" means exactly 19/20.
         return Fraction(str(value))
-    return Fraction(str(value).strip())
+    try:
+        return Fraction(str(value).strip())
+    except ZeroDivisionError as err:
+        raise ValueError(f"zero denominator: {value!r}") from err
 
 
 @dataclass(frozen=True)

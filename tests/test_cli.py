@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from boolrel.cli import (
     EXIT_YES,
     run,
 )
-from boolrel.formula import parse
+from boolrel.formula import ReluNetwork, parse
 from oracles import random_formula
 
 
@@ -410,6 +411,19 @@ class TestMiscCommands:
         assert report["result"]["agreement_checked"] is True
         assert report["result"]["layer_sizes"][0] == 3
 
+    def test_compile_relu_disagreement(self, monkeypatch):
+        forward = ReluNetwork.forward_batch
+
+        def flipped(self, inputs):
+            out = forward(self, inputs)
+            out[-1] ^= 1
+            return out
+
+        monkeypatch.setattr(ReluNetwork, "forward_batch", flipped)
+        code, report = invoke("compile-relu", "--formula", "(x1&x2)|!x3")
+        assert code == EXIT_NO
+        assert report["result"]["agreement_checked"] is False
+
     def test_output_file(self, tmp_path):
         from boolrel.cli import main
 
@@ -561,3 +575,164 @@ class TestInstanceRoundTrip:
         report = run(["prob", "--formula", "1"])
         assert report[0] == EXIT_YES
         assert run(["prob", "--instance", str(path)]) == report
+
+
+# Every flag each query subcommand reads besides --formula, --instance and
+# --output.
+ROWS = {
+    "eval": ("x",),
+    "prob": ("enum-cap",),
+    "check": ("x", "set", "delta", "enum-cap"),
+    "decide": ("x", "k", "delta", "search-cap", "enum-cap"),
+    "minimize": ("x", "delta", "search-cap", "enum-cap"),
+    "sample": ("x", "set", "delta", "gamma", "seed"),
+    "decide-gapped": ("x", "k", "delta", "gamma", "seed", "rounds", "search-cap"),
+    "greedy": ("x", "delta", "gamma", "seed", "rounds", "enum-cap"),
+    "shapley": ("x",),
+    "compile-relu": (),
+}
+FLAG_VALUES = {
+    "x": "110", "set": "1", "k": "1", "delta": "1/2", "gamma": "1/10",
+    "seed": "1", "rounds": "3", "enum-cap": "23", "search-cap": "17",
+}
+# The library call a subcommand passes its caps to.
+CAP_ENTRY = {
+    "prob": "satisfaction_probability",
+    "check": "conditional_agreement_probability",
+    "decide": "decide_relevant_input",
+    "minimize": "solve_min_relevant_input",
+    "decide-gapped": "decide_gapped",
+    "greedy": "greedy_min_relevant",
+}
+CAPS = [(command, flag) for command, row in sorted(ROWS.items())
+        for flag in row if flag.endswith("-cap")]
+
+
+def row_flags(command, skip=()):
+    return [arg for flag in ROWS[command] if flag not in skip
+            for arg in (f"--{flag}", FLAG_VALUES[flag])]
+
+
+def row_argv(command, *extra):
+    return [command, "--formula", "(x1&x2)|!x3", *row_flags(command), *extra]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_flags_outside_the_row_are_refused(self, command):
+        for flag in sorted(set(FLAG_VALUES) - set(ROWS[command])):
+            code, report = invoke(*row_argv(command, f"--{flag}", FLAG_VALUES[flag]))
+            assert code == EXIT_USAGE, flag
+            assert "unrecognized arguments" in report["error"]["reason"]
+
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_parameters_are_the_row(self, command):
+        code, report = invoke(*row_argv(command))
+        assert code in (EXIT_YES, EXIT_NO), report
+        want = {"formula", "arity"} | {f.replace("-", "_") for f in ROWS[command]}
+        assert set(report["parameters"]) == want
+
+    @pytest.mark.parametrize("command,flag", CAPS)
+    def test_cap_reaches_the_library(self, command, flag, monkeypatch):
+        # Flag first, then BOOLREL_<CAP>, then the library default.
+        name = CAP_ENTRY[command]
+        real = getattr(cli, name)
+        signature = inspect.signature(real)
+        cap = flag.replace("-", "_")
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(signature.bind(*args, **kwargs).arguments[cap])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        env = "BOOLREL_" + cap.upper()
+        unset = [command, "--formula", "(x1&x2)|!x3", *row_flags(command, (flag,))]
+        monkeypatch.delenv(env, raising=False)
+        invoke(*unset)
+        monkeypatch.setenv(env, "19")
+        invoke(*unset)
+        _, report = invoke(*row_argv(command))
+        assert seen == [signature.parameters[cap].default, 19, int(FLAG_VALUES[flag])]
+        assert report["parameters"][cap] == seen[-1]
+
+
+class TestRefusedInputs:
+    """Inputs that once escaped as internal errors (exit 70)."""
+
+    @pytest.mark.parametrize("command", ["decide", "decide-gapped"])
+    def test_k_zero(self, command, tmp_path):
+        code, report = invoke(*row_argv(command, "--k", "0"))
+        assert code == EXIT_USAGE
+        assert "k must lie in" in report["error"]["reason"]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"formula": "x1 | x2", "x": "11", "k": 0}))
+        flags = row_flags(command, ("x", "k"))
+        code, report = invoke(command, "--instance", str(path), *flags)
+        assert code == EXIT_USAGE
+        assert "k must lie in" in report["error"]["reason"]
+
+    @pytest.mark.parametrize("command", ["decide-gapped", "greedy"])
+    @pytest.mark.parametrize("rounds", ["2", "0", "-1"])
+    def test_bad_rounds(self, command, rounds, tmp_path):
+        code, report = invoke(*row_argv(command, "--rounds", rounds))
+        assert code == EXIT_USAGE
+        assert "rounds" in report["error"]["reason"]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"formula": "x1 | x2", "x": "11", "k": 1,
+                                    "delta": "1/2", "gamma": "1/10", "seed": 3}))
+        code, _ = invoke(command, "--instance", str(path), "--rounds", rounds)
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"delta": "1/0"}, {"gamma": "1/0"}, {"x": 1}, {"set": 5}, {"k": [1]}],
+        ids=["delta", "gamma", "x", "set", "k"],
+    )
+    def test_bad_instance_fields(self, fields, tmp_path):
+        path = tmp_path / "q.json"
+        data = {"formula": "(x1&x2)|!x3", "x": "110", "delta": "1/2"}
+        path.write_text(json.dumps(dict(data, **fields)))
+        code, report = invoke("check", "--instance", str(path))
+        assert code == EXIT_USAGE
+        assert report["error"]["kind"] == "usage"
+
+    def test_zero_denominator_flag_over_instance(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"formula": "(x1&x2)|!x3", "x": "110"}))
+        code, _ = invoke("check", "--instance", str(path), "--delta", "1/0")
+        assert code == EXIT_USAGE
+
+    def test_verify_zero_denominator(self, tmp_path):
+        path = tmp_path / "ip2.json"
+        path.write_text(json.dumps({"kind": "ip2", "formula": "x1 & x2", "x": "11",
+                                    "k": 1, "delta": "1/0"}))
+        code, report = invoke("verify", "--source", str(path), "--reduced", str(path))
+        assert code == EXIT_USAGE
+        assert report["error"]["kind"] == "usage"
+
+    def test_emajsat_formula_with_bad_k(self):
+        code, _ = invoke("reduce", "emajsat-ip1", "--formula", "x1", "--k", "5")
+        assert code == EXIT_USAGE
+
+
+class TestFlagsOverInstance:
+    def test_flags_replace_instance_fields(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(
+            {"formula": "(x1&x2)|!x3", "x": "111", "delta": "1", "set": [3]}
+        ))
+        flags = ["--x", "110", "--delta", "3/4", "--set", "1"]
+        from_file = run(["check", "--instance", str(path), *flags])
+        assert from_file == run(["check", "--formula", "(x1&x2)|!x3", *flags])
+        assert json.loads(from_file[1])["parameters"]["x"] == "110"
+
+    def test_instance_without_x_is_refused(self, tmp_path):
+        # Only a --formula run of a subcommand that does not read x takes
+        # all zeros.
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"formula": "x1 | x2"}))
+        for command in ("prob", "decide"):
+            assert invoke(command, "--instance", str(path))[0] == EXIT_USAGE
+        assert invoke("decide", "--formula", "x1 | x2")[0] == EXIT_USAGE
+        assert invoke("prob", "--formula", "x1 | x2")[0] == EXIT_YES
