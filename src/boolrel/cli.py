@@ -93,7 +93,7 @@ def _indices(text: str) -> list[int]:
     return [int(part) for part in text.split(",")] if text.strip() else []
 
 
-# argparse keywords of every flag a query subcommand can read.
+# argparse keywords of every flag a query subcommand or a reduce step reads.
 _FLAGS = {
     "x": dict(help="assignment bitstring, leftmost bit is x1"),
     "set": dict(type=_indices, help="comma-separated indices, empty for {}"),
@@ -104,6 +104,9 @@ _FLAGS = {
     "rounds": dict(type=int, default=15, help="amplification rounds (odd)"),
     "enum_cap": dict(type=int),
     "search_cap": dict(type=int),
+    # reduce only
+    "formula": dict(help="the source formula, instead of --instance"),
+    "m": dict(type=int),
 }
 
 # The flags each query subcommand reads, besides --formula, --instance and
@@ -193,9 +196,10 @@ def _query(ns: argparse.Namespace) -> RelevanceQuery:
     data.setdefault("delta", "1")
     if "set" in row and data.get("set") is None:
         data["set"] = []
-    # Subcommands that do not read x take all zeros, unless an instance
-    # file is given: it must carry its x.
-    if data.get("x") is None and ("x" in row or ns.instance is not None):
+    # Subcommands that do not read x take all zeros, whatever a file holds.
+    if "x" not in row:
+        data.pop("x", None)
+    elif data.get("x") is None:
         raise UsageError("the query needs an assignment: --x or the instance's x")
     try:
         query = RelevanceQuery.from_json_dict(data)
@@ -351,22 +355,29 @@ def _cmd_gadget(ns):
     return EXIT_YES, result, echo
 
 
-_REDUCE_SOURCE_KIND = {
-    "emajsat-ip1": "emajsat",
-    "ip1-ip2": "ip1",
-    "ip2-ri": "ip2",
-    "sat-ip3": "sat",
+# Each reduce step: the kind of source it reads, and the flags it reads
+# besides --instance and --output.  A step refuses every other flag.
+_REDUCE_STEPS = {
+    "emajsat-ip1": ("emajsat", ("formula", "k")),
+    "ip1-ip2": ("ip1", ("delta",)),
+    "ip2-ri": ("ip2", ("delta",)),
+    "sat-ip3": ("sat", ("formula", "delta", "gamma", "m")),
 }
 
 
 def _cmd_reduce(ns):
     step = ns.step
-    want_kind = _REDUCE_SOURCE_KIND[step]
+    want_kind = _REDUCE_STEPS[step][0]
+    formula = getattr(ns, "formula", None)
+    if (ns.instance is None) == (formula is None):
+        raise UsageError("provide exactly one of --instance or --formula")
     if ns.instance is not None:
+        if getattr(ns, "k", None) is not None:
+            raise UsageError("--k goes with --formula; an instance carries its k")
         source = _load_problem(ns.instance)
-    elif ns.formula is not None and want_kind in ("sat", "emajsat"):
+    else:
         try:
-            f = parse(ns.formula)
+            f = parse(formula)
         except FormulaSyntaxError as err:
             raise UsageError(str(err)) from err
         if want_kind == "sat":
@@ -375,8 +386,6 @@ def _cmd_reduce(ns):
             raise UsageError("emajsat sources need --k")
         else:
             source = _refusing(ProblemInstance, kind="emajsat", f=f, k=ns.k)
-    else:
-        raise UsageError("provide --instance (or --formula for sat/emajsat sources)")
     if source.kind != want_kind:
         raise UsageError(
             f"step {step} needs a {want_kind} source, got {source.kind}"
@@ -400,14 +409,10 @@ def _cmd_reduce(ns):
     except ValueError as err:
         raise UsageError(str(err)) from err
     result = {"instance": reduced.to_json_dict()}
-    echo = {
-        "step": step,
-        "source": source.to_json_dict(),
-        "delta": ns.delta,
-        "gamma": ns.gamma,
-        "m": ns.m,
-    }
-    echo = {k: v for k, v in echo.items() if v is not None}
+    echo = {"step": step, "source": source.to_json_dict()}
+    for name in ("delta", "gamma", "m"):
+        if getattr(ns, name, None) is not None:
+            echo[name] = getattr(ns, name)
     return EXIT_YES, result, echo
 
 
@@ -508,17 +513,13 @@ def _build_parser() -> _Parser:
     for gp in gadget_sub.choices.values():
         gp.add_argument("--output")
 
-    reduce_p = sub.add_parser("reduce")
-    reduce_p.add_argument(
-        "step", choices=("emajsat-ip1", "ip1-ip2", "ip2-ri", "sat-ip3")
-    )
-    reduce_p.add_argument("--instance")
-    reduce_p.add_argument("--formula")
-    reduce_p.add_argument("--k", type=int)
-    reduce_p.add_argument("--m", type=int)
-    reduce_p.add_argument("--delta")
-    reduce_p.add_argument("--gamma")
-    reduce_p.add_argument("--output")
+    reduce_sub = sub.add_parser("reduce").add_subparsers(dest="step", required=True)
+    for step, (_, flags) in _REDUCE_STEPS.items():
+        rp = reduce_sub.add_parser(step)
+        rp.add_argument("--instance", help="JSON problem-instance file")
+        for name in flags:
+            rp.add_argument("--" + name, **_FLAGS[name])
+        rp.add_argument("--output")
 
     verify_p = sub.add_parser("verify")
     verify_p.add_argument("--source", required=True)

@@ -22,6 +22,11 @@ bit-parallel enumeration:
 Conditioning on y_S = x_S is handled without rebuilding ASTs: fixed variables
 are carried beside the nodes and resolved during enumeration.
 
+`ConditionalEvaluator._split` decides how one node splits (components, a
+plug, or none: enumerate), and `_prob` is one loop over an explicit stack
+that solves the parts in order and combines them with `_combine`, so the
+depth of a decomposition is bounded by memory, not by the recursion limit.
+
 For formulas of at most TABLE_CAP variables, `coalition_counts` gives the
 exact conditional count of every subset S at once: a superset-sum (fast
 zeta) transform over an integer table, O(d 2^d).
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,17 +54,16 @@ from .formula import (
     SubsetMask,
     Var,
     Xor,
+    _BUILD,
     _LEAF_BITS,
+    _kids,
     _lane_blocks,
     _occurrences,
     _order,
-    and_,
     const,
     evaluate,
     evaluate_lanes,
-    or_,
     rewrite,
-    support,
     var,
     xor,
 )
@@ -112,10 +116,6 @@ class DyadicProb:
         if 1 << exp != den:
             raise ValueError(f"{value} is not dyadic")
         return cls(value.numerator, exp)
-
-    @classmethod
-    def from_count(cls, count: int, nvars: int) -> "DyadicProb":
-        return cls(count, nvars)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
@@ -296,10 +296,17 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
 # The conditional probability engine.
 
 
-def _combine(law: str, probs: Iterable[Fraction]) -> Fraction:
-    it = iter(probs)
-    acc = next(it)
-    for p in it:
+_LAWS = {And: "and", Or: "or", Xor: "xor"}
+
+
+def _combine(law: str, probs: Sequence[Fraction]) -> Fraction:
+    """P of a split node from its parts' P: independent components under
+    and/or/xor, or the plug split's (P(t), P(node[t:=1]), P(node[t:=0]))."""
+    if law == "plug":
+        p_t, high, low = probs
+        return p_t * high + (1 - p_t) * low
+    acc = probs[0]
+    for p in probs[1:]:
         if law == "and":
             acc = acc * p
         elif law == "or":
@@ -311,8 +318,8 @@ def _combine(law: str, probs: Iterable[Fraction]) -> Fraction:
 
 def _component_groups(node: Node, fixed: dict[int, int]) -> list[Node]:
     """Children of an n-ary operator clustered by shared free variables."""
-    kids = (node.left, node.right) if isinstance(node, Xor) else list(node.children)
-    free_supports = [frozenset(v for v in support(c) if v not in fixed) for c in kids]
+    kids = _kids(node)
+    free_supports = [frozenset(v for v in c.support if v not in fixed) for c in kids]
     parent = list(range(len(kids)))
 
     def find(i):
@@ -335,15 +342,8 @@ def _component_groups(node: Node, fixed: dict[int, int]) -> list[Node]:
         clusters.setdefault(find(i), []).append(child)
     if len(clusters) <= 1:
         return [node]
-    rebuild = and_ if isinstance(node, And) else or_ if isinstance(node, Or) else None
-    out = []
-    for members in clusters.values():
-        if len(members) == 1:
-            out.append(members[0])
-        else:
-            assert rebuild is not None  # Xor is binary: its clusters are singletons
-            out.append(rebuild(*members))
-    return out
+    # An Xor is binary: two clusters of it are single children.
+    return [m[0] if len(m) == 1 else _BUILD[type(node)](*m) for m in clusters.values()]
 
 
 class ConditionalEvaluator:
@@ -393,64 +393,76 @@ class ConditionalEvaluator:
         for rep, fixes in partial.items():
             members = self._groups[rep]
             if len(fixes) == len(members):
-                acc = 0
-                for b in fixes.values():
-                    acc ^= b
-                out[rep] = acc
+                out[rep] = sum(fixes.values()) & 1  # the members' parity
             # Partially fixed groups stay fair independent bits: no entry.
         return out
 
-    def _prob(self, node: Node, fixed: dict[int, int]) -> Fraction:
-        if isinstance(node, Const):
-            return Fraction(node.value)
-        supp = support(node)
-        relevant = tuple(sorted((v, fixed[v]) for v in fixed if v in supp))
-        free_count = len(supp) - len(relevant)
-        if free_count == 0:
-            return Fraction(evaluate_lanes(node, fixed.__getitem__, 1))
-        key = (node, relevant)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        result = self._prob_uncached(node, fixed, supp, free_count)
-        self._memo[key] = result
-        return result
+    def _prob(self, root: Node, fixed: dict[int, int]) -> Fraction:
+        """P(root = 1 | fixed), by one loop over an explicit stack.
 
-    def _prob_uncached(
-        self, node: Node, fixed: dict[int, int], supp: frozenset, free_count: int
-    ) -> Fraction:
-        # Up to one block of free variables is enumerated directly; more go
-        # through the decomposition devices first.
-        if free_count <= _LEAF_BITS:
-            return self._enumerate(node, supp, fixed)
+        A node that is constant, fully fixed, memoised or at most one block
+        wide is valued at once; a wider one goes to `_split`, and its parts
+        are pushed, first on top, above a frame that combines their values.
+        A node that does not split is enumerated, up to `enum_cap` variables.
+        """
+        value: dict[Node, Fraction] = {}
+        stack: list = [root]
+        while stack:
+            top = stack.pop()
+            if type(top) is tuple:  # (node, memo key, law, parts), parts done
+                node, key, law, parts = top
+                value[node] = self._memo[key] = _combine(law, [value[p] for p in parts])
+                continue
+            if top in value:
+                continue
+            if isinstance(top, Const):
+                value[top] = Fraction(top.value)
+                continue
+            supp = top.support
+            relevant = tuple(sorted((v, fixed[v]) for v in supp.intersection(fixed)))
+            free_count = len(supp) - len(relevant)
+            if free_count == 0:
+                value[top] = Fraction(evaluate_lanes(top, fixed.__getitem__, 1))
+                continue
+            key = (top, relevant)
+            got = self._memo.get(key)
+            if got is None:
+                if free_count > _LEAF_BITS:
+                    split = self._split(top, fixed)
+                    if split is not None:
+                        law, parts = split
+                        stack.append((top, key, law, parts))
+                        stack.extend(reversed(parts))
+                        continue
+                    if free_count > self.enum_cap:
+                        raise EnumerationCapExceeded(
+                            free_count, self.enum_cap, "model counting"
+                        )
+                free = sorted(v for v in supp if v not in fixed)
+                got = Fraction(_masked_count(top, free, fixed), 1 << free_count)
+                self._memo[key] = got
+            value[top] = got
+        return value[root]
 
-        # Independent components of a top-level n-ary operator.
-        if isinstance(node, (And, Or, Xor)):
+    def _split(
+        self, node: Node, fixed: dict[int, int]
+    ) -> Optional[tuple[str, Sequence[Node]]]:
+        """How `node` splits under `fixed`, as (law, parts) for `_combine`.
+
+        Either the independent components of an And/Or/Xor under its law,
+        or ("plug", (t, node[t:=1], node[t:=0])) on the plug t that
+        `_find_plug` picks; None when the node must be enumerated.
+        """
+        law = _LAWS.get(type(node))
+        if law is not None:
             groups = _component_groups(node, fixed)
             if len(groups) > 1:
-                law = (
-                    "and"
-                    if isinstance(node, And)
-                    else "or" if isinstance(node, Or) else "xor"
-                )
-                return _combine(law, (self._prob(g, fixed) for g in groups))
-
-        # Plug split on a variable-closed subtree.
+                return law, groups
         plug = self._find_plug(node, fixed)
-        if plug is not None:
-            p_t = self._prob(plug, fixed)
-            high = self._prob(self._replace(node, plug, 1), fixed)
-            low = self._prob(self._replace(node, plug, 0), fixed)
-            return p_t * high + (1 - p_t) * low
-
-        if free_count <= self.enum_cap:
-            return self._enumerate(node, supp, fixed)
-        raise EnumerationCapExceeded(free_count, self.enum_cap, "model counting")
-
-    def _enumerate(self, node: Node, supp: frozenset, fixed: dict[int, int]) -> Fraction:
-        free = sorted(v for v in supp if v not in fixed)
-        count = _masked_count(node, free, fixed)
-        return Fraction(count, 1 << len(free))
+        if plug is None:
+            return None
+        high, low = self._replace(node, plug, 1), self._replace(node, plug, 0)
+        return "plug", (plug, high, low)
 
     def _replace(self, node: Node, plug: Node, value: int) -> Node:
         """`node` with every occurrence of `plug` replaced by the constant."""
@@ -464,24 +476,28 @@ class ConditionalEvaluator:
     def _find_plug(self, node: Node, fixed: dict[int, int]) -> Optional[Node]:
         """Largest proper subtree whose free variables are private to it.
 
-        Ties go to the node latest in post-order, so an ancestor wins over
-        its descendants and a later sibling over an earlier one.
+        t qualifies when all leaves of `node` that carry its free variables
+        lie below it.  No variable has more leaves below t than in `node`, so
+        that holds when the two leaf counts, summed over t's free variables,
+        are equal.  Ties go to the node latest in post-order, so an ancestor
+        wins over its descendants and a later sibling over an earlier one.
         """
         occ_root = _occurrences(node)
-        free_supp = frozenset(v for v in support(node) if v not in fixed)
+        free_width = sum(1 for v in node.support if v not in fixed)
+        leaves: dict[Node, int] = {}  # free-variable leaves below each node
         best: Optional[Node] = None
         best_size = 0
         for current in _order(node):
-            if isinstance(current, (Var, Const)):
+            if isinstance(current, Var):
+                leaves[current] = int(current.index not in fixed)
                 continue
-            free_t = [v for v in support(current) if v not in fixed]
-            if not free_t or len(free_t) >= len(free_supp):
+            below = leaves[current] = sum(leaves[c] for c in _kids(current))
+            free_t = [v for v in current.support if v not in fixed]
+            if not free_t or len(free_t) >= free_width:
                 continue
-            occ_t = _occurrences(current)
-            if all(occ_root[v] == occ_t[v] for v in free_t):
-                if len(free_t) >= best_size:
-                    best = current
-                    best_size = len(free_t)
+            if sum(occ_root[v] for v in free_t) == below and len(free_t) >= best_size:
+                best = current
+                best_size = len(free_t)
         return best
 
 
@@ -554,16 +570,8 @@ class Decomposition:
 def decompose_independent(f: Formula) -> Decomposition:
     """Split a top-level AND/OR/XOR into variable-disjoint components."""
     node = f.root
-    if isinstance(node, (And, Or, Xor)):
-        groups = _component_groups(node, {})
-        if len(groups) > 1:
-            law = (
-                "and"
-                if isinstance(node, And)
-                else "or" if isinstance(node, Or) else "xor"
-            )
-            comps = tuple(
-                (Formula(g, f.arity), support(g)) for g in groups
-            )
-            return Decomposition(law, comps)
-    return Decomposition("atom", ((f, support(node)),))
+    law = _LAWS.get(type(node))
+    groups = [node] if law is None else _component_groups(node, {})
+    if len(groups) == 1:
+        return Decomposition("atom", ((f, node.support),))
+    return Decomposition(law, tuple((Formula(g, f.arity), g.support) for g in groups))

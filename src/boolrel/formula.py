@@ -106,11 +106,11 @@ class Node:
     """Base of the AST nodes; each also carries facts about itself.
 
     `support`, the set of variable indices below the node, is set when the
-    node is built.  `_order` (the proper descendants in post-order) and
-    `_occ` (occurrence counts) are filled in on first use.
+    node is built.  `_order` (the proper descendants in post-order) is
+    filled in on first use.
     """
 
-    __slots__ = ("support", "_order", "_occ")
+    __slots__ = ("support", "_order")
 
     def __post_init__(self):
         kids = _kids(self)
@@ -122,7 +122,6 @@ class Node:
             supp = frozenset().union(*(c.support for c in kids))
         object.__setattr__(self, "support", supp)
         object.__setattr__(self, "_order", None)
-        object.__setattr__(self, "_occ", None)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -326,23 +325,18 @@ def support(node: Node) -> frozenset[int]:
     return node.support
 
 
-def _occurrences(node: Node) -> dict[int, int]:
-    """How many leaves of the expanded tree carry each variable."""
-    if node._occ is None:
-        for n in _post_order(node):
-            if n._occ is not None:
-                continue
-            if isinstance(n, Var):
-                occ = {n.index: 1}
-            elif isinstance(n, Not):
-                occ = n.child._occ
-            else:
-                occ = {}
-                for c in _kids(n):
-                    for v, k in c._occ.items():
-                        occ[v] = occ.get(v, 0) + k
-            object.__setattr__(n, "_occ", occ)
-    return node._occ
+def _occurrences(root: Node) -> dict[int, int]:
+    """How many leaves of the expanded tree carry each variable: the paths
+    from `root` to the variable's one `Var` node, counted parents first."""
+    paths = {root: 1}
+    occ: dict[int, int] = {}
+    for n in chain((root,), reversed(_order(root))):
+        count = paths.pop(n)
+        if isinstance(n, Var):
+            occ[n.index] = count
+        for c in _kids(n):
+            paths[c] = paths.get(c, 0) + count
+    return occ
 
 
 def rewrite(

@@ -44,6 +44,7 @@ from .counting import (
     ConditionalEvaluator,
     DyadicProb,
     coalition_counts,
+    conditional_agreement_probability,
     rank_sizes,
 )
 from .formula import (
@@ -229,9 +230,7 @@ def is_delta_relevant(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[bool, DyadicProb]:
     """Exact test of P(f(y) = f(x) | y_S = x_S) >= delta."""
-    indices = s.indices() if isinstance(s, SubsetMask) else tuple(s)
-    ev = ConditionalEvaluator(f, enum_cap)
-    prob = DyadicProb.from_fraction(ev.agreement(x, indices))
+    prob = conditional_agreement_probability(f, x, s, enum_cap)
     return prob >= Fraction(delta), prob
 
 
@@ -246,38 +245,33 @@ def _first_witness(
 
     Skips a prefix only when doubling its probability once per remaining pick
     cannot reach the threshold; such prefixes provably contain no witness, so
-    the returned witness is the true first one.
+    the returned witness is the true first one.  Per size, a depth-first
+    loop over a stack of (prefix, first index its next pick may take) visits
+    prefixes in lexicographic order: their extensions are pushed in reverse.
     """
-    memo: dict[tuple[int, ...], Fraction] = {}
-
-    def p_of(prefix: tuple[int, ...]) -> Fraction:
-        got = memo.get(prefix)
-        if got is None:
-            got = prob_of(prefix)
-            memo[prefix] = got
-        return got
+    memo: dict[tuple[int, ...], Fraction] = {}  # each prefix is probed once
 
     def accepts(p: Fraction) -> bool:
         return p > threshold if strict else p >= threshold
 
-    def dfs(prefix: tuple[int, ...], start: int, size: int):
-        p = p_of(prefix)
-        if len(prefix) == size:
-            return (prefix, p) if accepts(p) else None
-        bound = p * (1 << (size - len(prefix)))
-        if (bound <= threshold) if strict else (bound < threshold):
-            return None
-        remaining = size - len(prefix)
-        for j in range(start, len(universe) - remaining + 1):
-            hit = dfs(prefix + (universe[j],), j + 1, size)
-            if hit is not None:
-                return hit
-        return None
-
     for size in range(0, max_size + 1):
-        hit = dfs((), 0, size)
-        if hit is not None:
-            return hit
+        stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        while stack:
+            prefix, start = stack.pop()
+            p = memo.get(prefix)
+            if p is None:
+                p = memo[prefix] = prob_of(prefix)
+            remaining = size - len(prefix)
+            if not remaining:
+                if accepts(p):
+                    return prefix, p
+                continue
+            if not accepts(p * (1 << remaining)):
+                continue
+            stack += [
+                (prefix + (universe[j],), j + 1)
+                for j in reversed(range(start, len(universe) - remaining + 1))
+            ]
     return None
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from boolrel.cli import (
     EXIT_YES,
     run,
 )
-from boolrel.formula import ReluNetwork, parse
+from boolrel.formula import ReluNetwork
 from oracles import random_formula
 
 
@@ -195,6 +196,25 @@ DEEP_PARENTHESES = "(" * 500 + "x1" + ")" * 500
 LONG_XOR_CHAIN = " ^ ".join(f"x{i}" for i in range(1, 1201))
 
 
+def alternating_chain(n: int) -> tuple[str, Fraction]:
+    """((x1 & x2) | x3) & x4 ... over x1..xn, and its probability."""
+    text, p = "x1", Fraction(1, 2)
+    for i in range(2, n + 1):
+        op = "&|"[i % 2]
+        text = f"({text} {op} x{i})"
+        p = p / 2 if op == "&" else (p + 1) / 2
+    return text, p
+
+
+def run_script(script: str, *args: str) -> str:
+    """stdout of `script` run in a fresh interpreter, which must not fail."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    return proc.stdout
+
+
 class TestInternalErrors:
     def test_unexpected_exception_is_a_report(self, monkeypatch):
         def broken(config):
@@ -225,12 +245,39 @@ class TestInternalErrors:
             "    code, text, _ = run(['prob', '--formula', formula])\n"
             "    print(code, json.loads(text)['result']['probability']['fraction'])\n"
         )
+        # The alternating chain's decomposition nests once per operator.
+        chain, p = alternating_chain(300)
         formulas = [DEEP_PARENTHESES, "(" * 10**4 + "x1" + ")" * 10**4, LONG_XOR_CHAIN]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *formulas], capture_output=True, text=True
+        out = run_script(script, *formulas, chain)
+        assert out.split("\n") == ["0 1/2"] * 3 + [f"0 {p}", ""]
+
+    def test_long_conjunction_minimize_needs_no_recursion(self):
+        # The subset search runs one prefix per size up to k = 200.
+        script = (
+            "import json, sys\n"
+            "from boolrel.cli import run\n"
+            "sys.setrecursionlimit(150)\n"
+            "formula = ' & '.join(f'x{i}' for i in range(1, 201))\n"
+            "code, text, _ = run(['minimize', '--formula', formula, '--x', '1' * 200,\n"
+            "                     '--search-cap', '200', '--enum-cap', '200'])\n"
+            "print(code, json.loads(text)['result']['k'])\n"
         )
-        assert proc.stderr == ""
-        assert proc.stdout.split("\n") == ["0 1/2"] * 3 + [""]
+        assert run_script(script) == "0 200\n"
+
+    def test_long_xor_chain_memory_held(self):
+        # What stays held is node facts, nearly all support sets (about 34
+        # MiB); occurrence counts cached on every node would add about 27.
+        script = (
+            "import gc, sys, tracemalloc\n"
+            "from boolrel.cli import run\n"
+            "tracemalloc.start()\n"
+            "code, _, _ = run(['prob', '--formula', sys.argv[1]])\n"
+            "gc.collect()\n"
+            "print(code, tracemalloc.get_traced_memory()[0])\n"
+        )
+        code, held = run_script(script, LONG_XOR_CHAIN).split()
+        assert code == "0"
+        assert int(held) < 45 << 20, int(held) / (1 << 20)
 
     def test_deep_formula_console_has_no_traceback(self):
         cmd = [sys.executable, "-m", "boolrel.cli", "prob", "--formula",
@@ -372,6 +419,82 @@ class TestReduceAndVerify:
         )
         code, _ = invoke("verify", "--source", str(a), "--reduced", str(b))
         assert code == EXIT_USAGE
+
+
+def _reduce_refuses(argv, flags):
+    """Each of `flags` added to `argv` is refused as an unread flag."""
+    values = {"--k": "1", "--delta": "1/2", "--gamma": "1/4", "--m": "7",
+              "--formula": "x1"}
+    for flag in flags:
+        code, report = invoke(*argv, flag, values[flag])
+        assert code == EXIT_USAGE, flag
+        assert "unrecognized arguments" in report["error"]["reason"], flag
+
+
+class TestReduceSteps:
+    """Each reduce step takes only the flags it reads."""
+
+    EMAJSAT = {"kind": "emajsat", "formula": "x1 & (x2 | x3)", "k": 1}
+
+    def _reduced(self, tmp_path, name, *argv):
+        code, report = invoke("reduce", *argv)
+        assert code == EXIT_YES, report
+        path = tmp_path / name
+        path.write_text(json.dumps(report["result"]["instance"]))
+        return str(path)
+
+    def test_emajsat_ip1(self, tmp_path):
+        src = tmp_path / "em.json"
+        src.write_text(json.dumps(self.EMAJSAT))
+        from_file = invoke("reduce", "emajsat-ip1", "--instance", str(src))
+        assert from_file[0] == EXIT_YES
+        assert set(from_file[1]["parameters"]) == {"step", "source"}
+        argv = ["reduce", "emajsat-ip1", "--formula", "x1 & (x2 | x3)"]
+        assert invoke(*argv, "--k", "1") == from_file
+        # --k goes with --formula only: an instance file carries its k.
+        code, report = invoke("reduce", "emajsat-ip1", "--instance", str(src),
+                              "--k", "3")
+        assert code == EXIT_USAGE
+        assert "--k" in report["error"]["reason"]
+        _reduce_refuses(argv + ["--k", "1"], ["--delta", "--gamma", "--m"])
+
+    def test_ip1_ip2(self, tmp_path):
+        src = tmp_path / "em.json"
+        src.write_text(json.dumps(self.EMAJSAT))
+        ip1 = self._reduced(tmp_path, "ip1.json", "emajsat-ip1", "--instance", str(src))
+        argv = ["reduce", "ip1-ip2", "--instance", ip1]
+        assert invoke(*argv)[0] == EXIT_USAGE  # --delta is required
+        code, report = invoke(*argv, "--delta", "1/2")
+        assert code == EXIT_YES
+        assert report["parameters"]["delta"] == "1/2"
+        assert set(report["parameters"]) == {"step", "source", "delta"}
+        argv += ["--delta", "1/2"]
+        _reduce_refuses(argv, ["--k", "--gamma", "--m", "--formula"])
+
+    def test_ip2_ri(self, tmp_path):
+        src = tmp_path / "em.json"
+        src.write_text(json.dumps(self.EMAJSAT))
+        ip1 = self._reduced(tmp_path, "ip1.json", "emajsat-ip1", "--instance", str(src))
+        ip2 = self._reduced(tmp_path, "ip2.json", "ip1-ip2", "--instance", ip1,
+                            "--delta", "1/2")
+        argv = ["reduce", "ip2-ri", "--instance", ip2]
+        code, report = invoke(*argv)
+        assert code == EXIT_YES
+        assert set(report["parameters"]) == {"step", "source"}
+        code, report = invoke(*argv, "--delta", "1/2")
+        assert code == EXIT_YES
+        assert report["parameters"]["delta"] == "1/2"
+        _reduce_refuses(argv, ["--k", "--gamma", "--m", "--formula"])
+
+    def test_sat_ip3(self, tmp_path):
+        argv = ["reduce", "sat-ip3", "--formula", "x1 | x2", "--delta", "1/2"]
+        assert invoke(*argv)[0] == EXIT_USAGE  # --gamma is required
+        argv += ["--gamma", "1/4"]
+        code, report = invoke(*argv, "--m", "7")
+        assert code == EXIT_YES
+        assert report["parameters"]["m"] == 7
+        assert set(report["parameters"]) == {"step", "source", "delta", "gamma", "m"}
+        _reduce_refuses(argv, ["--k"])
 
 
 class TestMiscCommands:
@@ -522,6 +645,7 @@ ROUND_TRIP_FLAGS = {
     "decide-gapped": ("x", "k", "delta", "gamma", "seed", "rounds"),
     "greedy": ("x", "delta", "gamma", "seed", "rounds"),
     "shapley": ("x",),
+    "compile-relu": (),
 }
 
 
@@ -535,8 +659,6 @@ class TestInstanceRoundTrip:
         d = data.draw(st.integers(1, 6), label="d")
         rng = random.Random(data.draw(st.integers(0, 1 << 32), label="formula"))
         text = str(random_formula(rng, d, 10))
-        if command == "prob":
-            d = parse(text).arity  # prob takes no --x to widen the formula
         bits = st.text("01", min_size=d, max_size=d)
         chosen = data.draw(bits, label="set")
         values = {
@@ -550,7 +672,11 @@ class TestInstanceRoundTrip:
         }
         names = ROUND_TRIP_FLAGS[command]
         flags = [command, "--formula", text]
-        instance = {"formula": text, "x": "0" * d}
+        instance = {"formula": text}
+        if "x" not in names and data.draw(st.booleans(), label="file x"):
+            # Read by neither prob nor compile-relu, and wider than the
+            # formula when folding dropped a variable.
+            instance["x"] = "0" * (d + 2)
         for name in names:
             value = values[name]
             text_value = ",".join(map(str, value)) if name == "set" else str(value)
@@ -728,11 +854,20 @@ class TestFlagsOverInstance:
         assert json.loads(from_file[1])["parameters"]["x"] == "110"
 
     def test_instance_without_x_is_refused(self, tmp_path):
-        # Only a --formula run of a subcommand that does not read x takes
-        # all zeros.
+        # A subcommand that reads x needs it, from --x or from the file.
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"formula": "x1 | x2"}))
-        for command in ("prob", "decide"):
-            assert invoke(command, "--instance", str(path))[0] == EXIT_USAGE
+        assert invoke("decide", "--instance", str(path))[0] == EXIT_USAGE
         assert invoke("decide", "--formula", "x1 | x2")[0] == EXIT_USAGE
-        assert invoke("prob", "--formula", "x1 | x2")[0] == EXIT_YES
+
+    @pytest.mark.parametrize("command", ["prob", "compile-relu"])
+    def test_unread_x_is_ignored(self, command, tmp_path):
+        # prob and compile-relu read no x: a file without one answers, and a
+        # longer one does not widen the arity.
+        report = run([command, "--formula", "x1 & x2"])
+        assert report[0] == EXIT_YES
+        assert json.loads(report[1])["parameters"]["arity"] == 2
+        for fields in ({}, {"x": "10110"}):
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps({"formula": "x1 & x2", **fields}))
+            assert run([command, "--instance", str(path)]) == report

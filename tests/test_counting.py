@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boolrel.counting as counting
 import boolrel.formula as formula
@@ -313,6 +314,40 @@ class TestForcedDecomposition:
             s = sorted(rng.sample(range(1, arity + 1), size))
             got = conditional_agreement_probability(f, x, s).as_fraction()
             assert got == naive_agreement(f, x, s)
+
+
+class TestDecomposerProperty:
+    def test_every_split_kind_matches_naive(self):
+        # Blocks of 2, 4 and 8 positions send every node wider than that
+        # through _split; each kind of split it returns is recorded.
+        kinds = set()
+        split = ConditionalEvaluator._split
+
+        def recording(self, node, fixed):
+            out = split(self, node, fixed)
+            if out is None:
+                kinds.add("enumerate")
+            else:
+                kinds.add("plug" if out[0] == "plug" else "component")
+            return out
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(data=st.data())
+        def check(data):
+            d = data.draw(st.integers(1, 10), label="d")
+            rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+            f = random_formula(rng, d, data.draw(st.integers(4, 24), label="size"))
+            x = Assignment(data.draw(st.integers(0, (1 << d) - 1), label="x"), d)
+            s = sorted(data.draw(st.sets(st.integers(1, d)), label="fixed"))
+            bits = data.draw(st.sampled_from([1, 2, 3]), label="leaf bits")
+            with pytest.MonkeyPatch.context() as mp:
+                _shrink_leaf(mp, bits)
+                mp.setattr(ConditionalEvaluator, "_split", recording)
+                got = ConditionalEvaluator(f).satisfaction({i: x.bit(i) for i in s})
+            assert got == naive_conditional_satisfaction(f, x, s)
+
+        check()
+        assert kinds == {"component", "plug", "enumerate"}
 
 
 class TestPlugSplit:
