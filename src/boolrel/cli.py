@@ -88,6 +88,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _cap(text: str) -> int:
+    """--enum-cap, --search-cap and their BOOLREL_* variables: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused below, with the negative numbers
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _indices(text: str) -> list[int]:
     """--set: comma-separated variable indices, empty for the empty set."""
     return [int(part) for part in text.split(",")] if text.strip() else []
@@ -102,8 +113,8 @@ _FLAGS = {
     "gamma": dict(help="rational gap, 'p/q' or decimal"),
     "seed": dict(type=int, help="64-bit run seed"),
     "rounds": dict(type=int, default=15, help="amplification rounds (odd)"),
-    "enum_cap": dict(type=int),
-    "search_cap": dict(type=int),
+    "enum_cap": dict(type=_cap),
+    "search_cap": dict(type=_cap),
     # reduce only
     "formula": dict(help="the source formula, instead of --instance"),
     "m": dict(type=int),
@@ -540,9 +551,9 @@ def _env_cap(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
-    except ValueError as err:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from err
+        return _cap(raw)
+    except argparse.ArgumentTypeError as err:
+        raise UsageError(f"{name} {err}") from err
 
 
 def run(argv: list[str]) -> tuple[int, str, Optional[str]]:

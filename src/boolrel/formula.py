@@ -22,6 +22,7 @@ parenthesised form; ``parse(render(f))`` reproduces the truth table of ``f``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
@@ -67,6 +68,10 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 26
+
+# Entries kept by the parse memo (text -> root) and by the render memo (root ->
+# text), the most recently used first.
+MEMO_SIZE = 256
 
 # Block width of every enumeration: 2^16 positions are 8 KiB per lane.
 _LEAF_BITS = 16
@@ -525,7 +530,16 @@ def parse(text: str, arity: Optional[int] = None) -> Formula:
     """Parse formula text into a Formula.
 
     The optional arity widens the variable universe beyond the largest index
-    mentioned; it may not shrink it.
+    mentioned; it may not shrink it.  The roots of the last MEMO_SIZE texts
+    are kept, so a repeated text is not parsed again; a text with a syntax
+    error is parsed, and refused, every time.
+    """
+    return Formula.of(_parse_root(text), arity)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _parse_root(text: str) -> Node:
+    """The root node of formula text.
 
     Operator precedence is resolved with one frame per open parenthesis: a
     frame holds the finished operands of its '|' level, the XOR chain so far
@@ -577,7 +591,7 @@ def parse(text: str, arity: Optional[int] = None) -> Formula:
                     raise FormulaSyntaxError(
                         f"unexpected trailing input {text[pos:]!r}", pos
                     )
-                return Formula.of(node, arity)
+                return node
             if ch != ")":
                 raise FormulaSyntaxError("expected ')'", pos)
             pos += 1
@@ -616,11 +630,14 @@ def _atom(text: str, pos: int) -> tuple[Node, int]:
     raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def render(node: Node) -> str:
     """Fully parenthesised text form; parses back to the same truth table.
 
-    Tokens are emitted from an explicit stack of pending nodes and strings,
-    so memory stays linear in the output whatever the depth.
+    The texts of the last MEMO_SIZE nodes are kept; nodes are interned, so
+    the lookup is by identity.  Tokens are emitted from an explicit stack of
+    pending nodes and strings, so memory stays linear in the output whatever
+    the depth.
     """
     out: list[str] = []
     stack: list = [node]

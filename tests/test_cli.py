@@ -782,6 +782,21 @@ class TestFlagTable:
         assert seen == [signature.parameters[cap].default, 19, int(FLAG_VALUES[flag])]
         assert report["parameters"][cap] == seen[-1]
 
+    @pytest.mark.parametrize("command,flag", CAPS)
+    def test_negative_cap_is_usage_error(self, command, flag, monkeypatch):
+        # A negative cap once ran (or refused with "exceeds the cap of -1").
+        env = "BOOLREL_" + flag.replace("-", "_").upper()
+        unset = [command, "--formula", "(x1&x2)|!x3", *row_flags(command, (flag,))]
+        code, report = invoke(*unset, f"--{flag}", "-1")
+        assert code == EXIT_USAGE
+        assert "non-negative integer" in report["error"]["reason"]
+        monkeypatch.setenv(env, "-3")
+        code, report = invoke(*unset)
+        assert code == EXIT_USAGE
+        assert report["error"]["reason"].startswith(env)
+        monkeypatch.setenv(env, "0")
+        assert invoke(*unset)[0] != EXIT_USAGE
+
 
 class TestRefusedInputs:
     """Inputs that once escaped as internal errors (exit 70)."""
@@ -871,3 +886,45 @@ class TestFlagsOverInstance:
             path = tmp_path / "q.json"
             path.write_text(json.dumps({"formula": "x1 & x2", **fields}))
             assert run([command, "--instance", str(path)]) == report
+
+
+class TestRepeatedQueries:
+    """The parse and render memos never show in a report."""
+
+    ARGV = [
+        ["sample", "--formula", "(x1 & x2) | !x3 ^ x4", "--x", "1101", "--set", "1",
+         "--delta", "3/4", "--gamma", "1/10", "--seed", "7"],
+        ["decide", "--formula", "x1 & (x2 | x3)", "--x", "111", "--k", "1",
+         "--delta", "1/2"],
+        ["shapley", "--formula", "x1 ^ (x2 & !x3)", "--x", "101"],
+        ["gadget", "pi", "--eta", "3/8", "--ell", "2"],
+        ["reduce", "sat-ip3", "--formula", "x1 | x2", "--delta", "1/2",
+         "--gamma", "1/4"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_repeat_is_byte_identical(self, argv):
+        first = run(argv)
+        assert "error" not in json.loads(first[1])
+        assert run(argv) == first
+
+    def test_widened_formula_echoes_the_same_text(self):
+        # --x longer than the largest index widens the formula to a new
+        # Formula over the same root.
+        argv = ["shapley", "--formula", "!x2 | (x1 & x1)", "--x", "10110"]
+        reports = [invoke(*argv)[1] for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert reports[0]["parameters"]["formula"] == "(!x2 | x1)"
+        assert reports[0]["parameters"]["arity"] == 5
+        assert len(reports[0]["result"]["phi"]) == 5
+
+    def test_report_survives_eviction(self):
+        from boolrel.formula import MEMO_SIZE
+
+        argv = self.ARGV[0]
+        first = run(argv)
+        for i in range(1, MEMO_SIZE + 10):
+            code, _ = invoke("eval", "--formula", f"x{i} & !x{i + 1}",
+                             "--x", "1" * (i + 1))
+            assert code == EXIT_YES
+        assert run(argv) == first

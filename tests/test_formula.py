@@ -163,6 +163,61 @@ class TestParse:
             assert isinstance(f, Formula)
 
 
+def _binary(parts):
+    left, op, right = parts
+    return f"({left} {op} {right})"
+
+
+FORMULA_TEXTS = st.recursive(
+    st.one_of(st.integers(1, 12).map("x{}".format), st.sampled_from(["0", "1"])),
+    lambda inner: st.one_of(
+        inner.map("!{}".format),
+        st.tuples(inner, st.sampled_from("&|^"), inner).map(_binary),
+    ),
+    max_leaves=16,
+)
+
+
+class TestMemo:
+    """The parse and render memos change no answer."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(FORMULA_TEXTS, st.integers(0, 3))
+    def test_memo_is_invisible(self, text, extra):
+        f, g = parse(text), parse(text)
+        assert f == g and f.root is g.root
+        assert f.root is formula._parse_root.__wrapped__(text)
+        assert str(f) == render.__wrapped__(f.root) == str(g)
+        wide = parse(text, f.arity + extra)
+        assert wide.root is f.root and wide.arity == f.arity + extra
+        assert str(wide) == str(f)
+        if f.arity:
+            with pytest.raises(ValueError, match="below the largest"):
+                parse(text, f.arity - 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(FORMULA_TEXTS, st.sampled_from(["{} &", "({}", "{} )", "{} x0", "&{}"]))
+    def test_syntax_errors_are_not_memoised(self, text, corrupt):
+        bad = corrupt.format(text)
+        offsets = []
+        for _ in range(2):
+            with pytest.raises(FormulaSyntaxError) as err:
+                parse(bad)
+            offsets.append((str(err.value), err.value.offset))
+        assert offsets[0] == offsets[1]
+
+    def test_memos_hold_at_most_their_bound(self):
+        size = formula.MEMO_SIZE
+        first = parse("x1 & x2 | x3")
+        for i in range(1, size + 2):
+            assert str(parse(f"x{i} ^ x{i + 1}")) == f"(x{i} ^ x{i + 1})"
+        assert formula._parse_root.cache_info().currsize <= size
+        assert render.cache_info().currsize <= size
+        # Evicted or not, a text still gives the same root and text.
+        again = parse("x1 & x2 | x3")
+        assert again.root is first.root and str(again) == str(first)
+
+
 class TestEvaluate:
     def test_fig1_cases(self):
         f = parse(FIG1)
