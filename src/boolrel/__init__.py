@@ -13,11 +13,9 @@ across threads.
 
 from .counting import (
     ConditionalEvaluator,
-    Decomposition,
     DyadicProb,
     conditional_agreement_probability,
     conditional_satisfaction_probability,
-    decompose_independent,
     satisfaction_probability,
 )
 from .formula import (
@@ -101,12 +99,10 @@ __all__ = [
     "compile_to_relu",
     # counting
     "DyadicProb",
-    "Decomposition",
     "ConditionalEvaluator",
     "satisfaction_probability",
     "conditional_agreement_probability",
     "conditional_satisfaction_probability",
-    "decompose_independent",
     # relevance
     "Verdict",
     "RelevanceQuery",

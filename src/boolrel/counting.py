@@ -70,7 +70,6 @@ from .formula import (
 
 __all__ = [
     "DyadicProb",
-    "Decomposition",
     "ConditionalEvaluator",
     "TABLE_CAP",
     "coalition_counts",
@@ -78,7 +77,6 @@ __all__ = [
     "satisfaction_probability",
     "conditional_agreement_probability",
     "conditional_satisfaction_probability",
-    "decompose_independent",
 ]
 
 # Widest formula given an all-coalitions table: 2^20 int32 counts, 4 MiB.
@@ -546,32 +544,3 @@ def _check_arities(f: Formula, x: Assignment, indices: tuple[int, ...]):
     for i in indices:
         if not 1 <= i <= f.arity:
             raise ValueError(f"subset index {i} out of range 1..{f.arity}")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Top-level split into variable-disjoint components.
-
-    Component probabilities combine under `law`:
-    and: p*q;  or: p + q - p*q;  xor: p + q - 2*p*q;  atom: single component.
-    """
-
-    law: str
-    components: tuple[tuple[Formula, frozenset[int]], ...]
-
-    def combined_probability(self, enum_cap: int = DEFAULT_ENUM_CAP) -> DyadicProb:
-        probs = [
-            satisfaction_probability(comp, enum_cap).as_fraction()
-            for comp, _ in self.components
-        ]
-        return DyadicProb.from_fraction(_combine(self.law, probs))
-
-
-def decompose_independent(f: Formula) -> Decomposition:
-    """Split a top-level AND/OR/XOR into variable-disjoint components."""
-    node = f.root
-    law = _LAWS.get(type(node))
-    groups = [node] if law is None else _component_groups(node, {})
-    if len(groups) == 1:
-        return Decomposition("atom", ((f, node.support),))
-    return Decomposition(law, tuple((Formula(g, f.arity), g.support) for g in groups))

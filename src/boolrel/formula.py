@@ -398,22 +398,13 @@ class Assignment:
             raise ValueError("assignment bits out of range for its length")
 
     @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "Assignment":
-        bits = 0
-        n = 0
-        for i, v in enumerate(values):
-            if v not in (0, 1):
-                raise ValueError(f"assignment entries must be bits, got {v!r}")
-            bits |= v << i
-            n = i + 1
-        return cls(bits, n)
-
-    @classmethod
     def from_string(cls, text: str) -> "Assignment":
         """Parse a bitstring; the leftmost character is x1."""
-        if not all(ch in "01" for ch in text):
+        if not isinstance(text, str):
+            raise TypeError(f"assignment must be a bitstring, got {text!r}")
+        if text.strip("01"):  # what is left is not a bit
             raise ValueError(f"assignment string must be over 0/1, got {text!r}")
-        return cls.from_bits(int(ch) for ch in text)
+        return cls(int(text[::-1], 2) if text else 0, len(text))
 
     @classmethod
     def from_index(cls, j: int, length: int) -> "Assignment":
@@ -444,7 +435,9 @@ class Assignment:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.as_tuple())
+        # Binary is most significant first, and x1 is bit 0; the slice drops
+        # the "0" that formats the empty assignment.
+        return format(self.bits, f"0{self.length}b")[::-1][: self.length]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ bit-sliced (transposed so that bit s of a variable's lane is its value in
 draw s) and the formula is evaluated once over the lanes of a block of
 draws.  Sub-seeds for amplification rounds and per-candidate runs are
 derived by SHA-256 over "seed:tag" strings, so every transcript replays
-byte-identically from the run seed.
+byte-identically from the run seed.  Each public sampled call checks delta
+and gamma and sizes its runs once (`_sample_size`), evaluates f(x) once, and
+draws every run, round or estimate through one primitive (`_run`).
 """
 
 from __future__ import annotations
@@ -433,12 +435,16 @@ def sample_count(gamma: Fraction) -> int:
         precision *= 2
 
 
-def _capped_sample_count(gamma: Fraction) -> int:
-    """sample_count(gamma), refused above DEFAULT_SAMPLE_CAP.  As ln 3 > 1,
+def _sample_size(delta: Fraction, gamma: Fraction) -> int:
+    """n for the runs of one sampled call at (delta, gamma), after checking
+    both: sample_count(gamma), refused above DEFAULT_SAMPLE_CAP.  As ln 3 > 1,
     n > 2 / gamma^2 refuses a tiny gamma before ln 3 is narrowed for it."""
-    gamma = Fraction(gamma)
+    if gamma <= 0:
+        raise ValueError("ungapped sampling is unsound: gamma must be positive")
+    if not 0 < delta <= 1 or gamma >= delta:
+        raise ValueError("need 0 < delta <= 1 and 0 < gamma < delta")
     a, b = gamma.numerator, gamma.denominator
-    if a > 0 and DEFAULT_SAMPLE_CAP * a * a <= 2 * b * b:
+    if DEFAULT_SAMPLE_CAP * a * a <= 2 * b * b:
         raise SampleCapExceeded(gamma)
     n = sample_count(gamma)
     if n > DEFAULT_SAMPLE_CAP:
@@ -506,6 +512,25 @@ def _draw_successes(
     return successes
 
 
+def _free(d: int, s: SubsetMask | Iterable[int]) -> tuple[int, ...]:
+    """The variables of x1..xd outside S, ascending."""
+    fixed = set(s.indices() if isinstance(s, SubsetMask) else s)
+    return tuple(i for i in range(1, d + 1) if i not in fixed)
+
+
+def _run(
+    f: Formula,
+    x: Assignment,
+    free: tuple[int, ...],
+    n: int,
+    target: int,
+    seed: int,
+) -> int:
+    """One seeded run: how many of n draws over `free` (x fixing the rest)
+    make f equal target.  Every sampled call draws through here."""
+    return _draw_successes(f, x, free, n, random.Random(seed), target)
+
+
 def sample_relevance(
     f: Formula,
     x: Assignment,
@@ -522,16 +547,8 @@ def sample_relevance(
     in exact rational arithmetic on the success count.
     """
     delta, gamma = Fraction(delta), Fraction(gamma)
-    if gamma <= 0:
-        raise ValueError("ungapped sampling is unsound: gamma must be positive")
-    if not 0 < delta <= 1 or gamma >= delta:
-        raise ValueError("need 0 < delta <= 1 and 0 < gamma < delta")
-    indices = set(s.indices() if isinstance(s, SubsetMask) else tuple(s))
-    free = tuple(i for i in range(1, f.arity + 1) if i not in indices)
-    n = _capped_sample_count(gamma)
-    target = evaluate(f, x)
-    rng = random.Random(seed)
-    successes = _draw_successes(f, x, free, n, rng, target)
+    n = _sample_size(delta, gamma)
+    successes = _run(f, x, _free(f.arity, s), n, evaluate(f, x), seed)
     accept = Fraction(successes, n) >= delta - gamma / 2
     return SampleOutcome(
         verdict=Verdict.YES if accept else Verdict.NO,
@@ -550,18 +567,19 @@ def amplified_sample_relevance(
     seed: int,
     rounds: int,
 ) -> AmplifiedOutcome:
-    """Majority vote over independent sampling rounds with derived sub-seeds."""
+    """Majority vote over independent sampling rounds: round r is
+    sample_relevance's run at the sub-seed "round-r"."""
     if rounds < 1 or rounds % 2 == 0:
         raise ValueError(f"rounds must be an odd positive integer, got {rounds}")
-    indices = tuple(s.indices() if isinstance(s, SubsetMask) else tuple(s))
-    yes = 0
-    n = _capped_sample_count(gamma)
-    for r in range(rounds):
-        outcome = sample_relevance(
-            f, x, indices, delta, gamma, _subseed(seed, f"round-{r}")
-        )
-        if outcome.verdict is Verdict.YES:
-            yes += 1
+    delta, gamma = Fraction(delta), Fraction(gamma)
+    n = _sample_size(delta, gamma)
+    free, target = _free(f.arity, s), evaluate(f, x)
+    threshold = delta - gamma / 2
+    yes = sum(
+        Fraction(_run(f, x, free, n, target, _subseed(seed, f"round-{r}")), n)
+        >= threshold
+        for r in range(rounds)
+    )
     verdict = Verdict.YES if 2 * yes > rounds else Verdict.NO
     return AmplifiedOutcome(verdict, yes, rounds, n)
 
@@ -590,7 +608,7 @@ def decide_gapped(
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
     _check_search_cap(f.arity, search_cap)
-    n = _capped_sample_count(gamma)
+    n = _sample_size(delta, gamma)
     universe = range(1, f.arity + 1)
     candidates = (c for size in range(k + 1) for c in combinations(universe, size))
     for subset in candidates:
@@ -628,10 +646,8 @@ def greedy_min_relevant(
     exactly, so the returned set always does.
     """
     delta, gamma = Fraction(delta), Fraction(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive for the greedy solver")
     d = f.arity
-    n = _capped_sample_count(gamma)
+    n = _sample_size(delta, gamma)
     target = evaluate(f, x)
     current: tuple[int, ...] = ()
 
@@ -653,25 +669,19 @@ def greedy_min_relevant(
         )
         if outcome.verdict is Verdict.YES and exact_ok(current):
             return len(current), SubsetMask.from_indices(current, d)
-        if len(current) == d:
-            # The full set is 1-relevant; the amplified check accepts it with
-            # certainty, so this point is unreachable unless delta > 1.
-            return d, SubsetMask.full(d)
-        best_index = None
-        best_successes = -1
-        for v in range(1, d + 1):
-            if v in current:
-                continue
-            candidate = tuple(sorted(current + (v,)))
-            free = tuple(i for i in range(1, d + 1) if i not in candidate)
-            rng = random.Random(
-                _subseed(seed, f"estimate-{len(current)}-{v}")
+        # The full set passes both checks (its runs draw nothing and
+        # delta <= 1), so some variable is left to add.
+        rest = tuple(v for v in range(1, d + 1) if v not in current)
+        estimates = [
+            _run(
+                f, x, tuple(i for i in rest if i != v), n, target,
+                _subseed(seed, f"estimate-{len(current)}-{v}"),
             )
-            successes = _draw_successes(f, x, free, n, rng, target)
-            if successes > best_successes:
-                best_successes = successes
-                best_index = v
-        current = tuple(sorted(current + (best_index,)))
+            for v in rest
+        ]
+        # index() finds the first of equal estimates: the smallest v.
+        best = rest[estimates.index(max(estimates))]
+        current = tuple(sorted(current + (best,)))
 
 
 # --------------------------------------------------------------------------

@@ -40,11 +40,9 @@ __all__ = [
     "shapley_values",
     "relevance_from_characteristic",
     "DEFAULT_SINGLE_CAP",
-    "DEFAULT_VECTOR_CAP",
 ]
 
 DEFAULT_SINGLE_CAP = TABLE_CAP
-DEFAULT_VECTOR_CAP = TABLE_CAP
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,7 @@ def characteristic_value(
     )
 
 
-def shapley_values(
-    f: Formula, x: Assignment, vector_cap: int = DEFAULT_VECTOR_CAP
-) -> ShapleyVector:
+def shapley_values(f: Formula, x: Assignment) -> ShapleyVector:
     """phi_i = sum over S avoiding i of |S|!(d-|S|-1)!/d! (nu(S+i) - nu(S)).
 
     With c(S) = #{y : y_S = x_S, f(y) = 1} from the coalition table,
@@ -108,8 +104,8 @@ def shapley_values(
     over at most 2^(d-1) sets) and weighted by Python ints.
     """
     d = f.arity
-    if d > vector_cap:
-        raise EnumerationCapExceeded(d, vector_cap, "Shapley enumeration")
+    if d > TABLE_CAP:
+        raise EnumerationCapExceeded(d, TABLE_CAP, "Shapley enumeration")
     if x.length != d:
         raise ValueError("assignment length does not match arity")
     counts = coalition_counts(f, x, 1)

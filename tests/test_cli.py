@@ -813,6 +813,25 @@ class TestRefusedInputs:
         assert code == EXIT_USAGE
         assert "k must lie in" in report["error"]["reason"]
 
+    @pytest.mark.parametrize(
+        "flags,code,reason",
+        [
+            (("--k", "0"), EXIT_USAGE, "k must lie in 1..3"),
+            (("--search-cap", "1"), EXIT_CAP,
+             "subset search over 3 variables exceeds the cap of 1"),
+        ],
+        ids=["k", "search-cap"],
+    )
+    def test_gapped_refusal_order(self, flags, code, reason):
+        # A gamma too fine for the sample cap is refused only after k and
+        # the search cap are checked.
+        got, report = invoke(*row_argv("decide-gapped", *flags, "--gamma", "1e-9"))
+        assert got == code
+        assert report["error"]["reason"].startswith(reason)
+        got, report = invoke(*row_argv("decide-gapped", "--gamma", "1e-9"))
+        assert got == EXIT_CAP
+        assert "draws per sampling run" in report["error"]["reason"]
+
     @pytest.mark.parametrize("command", ["decide-gapped", "greedy"])
     @pytest.mark.parametrize("rounds", ["2", "0", "-1"])
     def test_bad_rounds(self, command, rounds, tmp_path):

@@ -14,7 +14,6 @@ from boolrel.counting import (
     DyadicProb,
     conditional_agreement_probability,
     conditional_satisfaction_probability,
-    decompose_independent,
     coalition_counts,
     satisfaction_probability,
 )
@@ -172,44 +171,58 @@ class TestConditionalAgreement:
             )
 
 
+def top_split(f):
+    """The decomposer's split of f's top node with nothing fixed, and the
+    parts' probabilities combined under its law (None: no split)."""
+    split = ConditionalEvaluator(f)._split(f.root, {})
+    if split is None:
+        return None, None
+    law, parts = split
+    probs = [satisfaction_probability(Formula(p, f.arity)).as_fraction() for p in parts]
+    return split, counting._combine(law, probs)
+
+
 class TestDecomposition:
     def test_disjoint_or(self):
         f = parse("(x1 & x2) | (x3 & x4 & x5)")
-        dec = decompose_independent(f)
-        assert dec.law == "or"
-        probs = sorted(
-            satisfaction_probability(c).as_fraction() for c, _ in dec.components
-        )
+        (law, parts), combined = top_split(f)
+        assert law == "or"
+        probs = sorted(satisfaction_probability(Formula(p, 5)).as_fraction()
+                       for p in parts)
         assert probs == [Fraction(1, 8), Fraction(1, 4)]
-        assert dec.combined_probability() == Fraction(11, 32)
+        assert combined == satisfaction_probability(f) == Fraction(11, 32)
         # Independent confirmation by enumerating all 2^5 assignments.
         assert naive_probability(f) == Fraction(11, 32)
 
     def test_xor_of_fair_bits(self):
         f = parse("x1 ^ x2")
-        dec = decompose_independent(f)
-        assert dec.law == "xor"
-        assert dec.combined_probability() == Fraction(1, 2)
+        (law, parts), combined = top_split(f)
+        assert law == "xor" and len(parts) == 2
+        assert combined == satisfaction_probability(f) == Fraction(1, 2)
 
     def test_fig1_value(self):
-        dec = decompose_independent(FIG1)
-        assert dec.combined_probability() == Fraction(5, 8)
+        (law, _), combined = top_split(FIG1)
+        assert law == "or"
+        assert combined == satisfaction_probability(FIG1) == Fraction(5, 8)
 
     def test_entangled_is_atom(self):
+        # x2 ties the two halves, and no proper subtree is a plug.
         f = parse("(x1 & x2) | (x2 & x3)")
-        dec = decompose_independent(f)
-        assert dec.law == "atom"
-        assert len(dec.components) == 1
+        assert top_split(f) == (None, None)
 
     def test_decomposition_equals_enumeration(self):
         rng = random.Random(21)
+        laws = set()
         for _ in range(200):
             d = rng.randint(1, 12)
             f = random_formula(rng, d, rng.randint(1, 20))
-            assert (
-                decompose_independent(f).combined_probability().as_fraction()
-                == naive_probability(f)
-            )
+            split, combined = top_split(f)
+            want = naive_probability(f)
+            assert satisfaction_probability(f) == want
+            if split is not None:
+                laws.add(split[0])
+                assert combined == want
+        assert laws == {"and", "or", "xor", "plug"}
 
     def test_monotone_in_gadget_probability(self):
         # P(f or g) = P(f) + (1 - P(f)) P(g) grows with P(g) at fixed P(f).

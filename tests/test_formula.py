@@ -448,6 +448,28 @@ class TestAssignment:
         with pytest.raises(IndexError):
             Assignment.zeros(3).bit(4)
 
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65])
+    def test_string_round_trip(self, length):
+        rng = random.Random(length)
+        for bits in {0, (1 << length) - 1, rng.getrandbits(length) if length else 0}:
+            a = Assignment(bits, length)
+            text = "".join(str((bits >> i) & 1) for i in range(length))
+            assert str(a) == text
+            assert Assignment.from_string(text) == a
+            assert Assignment.from_string(text).as_tuple() == a.as_tuple()
+
+    @pytest.mark.parametrize("text", [" 1", "1 ", "1_0", "+1", "0b1", "\uff11", "2"])
+    def test_non_bits_are_refused(self, text):
+        # int(text, 2) takes all but "2" (the fullwidth digit included);
+        # from_string takes none.
+        with pytest.raises(ValueError):
+            Assignment.from_string(text)
+
+    @pytest.mark.parametrize("value", [1, None, ["1", "0"]])
+    def test_non_string_is_type_error(self, value):
+        with pytest.raises(TypeError):
+            Assignment.from_string(value)
+
 
 class TestSubsetMask:
     def test_popcount(self):

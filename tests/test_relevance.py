@@ -32,6 +32,7 @@ from boolrel.relevance import (
     SampleCapExceeded,
     SearchCapExceeded,
     Verdict,
+    _subseed,
     amplified_sample_relevance,
     decide_gapped,
     decide_relevant_input,
@@ -369,8 +370,6 @@ class TestAmplified:
                 f, x, [1], Fraction(3, 4), Fraction(1, 10), seed, rounds=1
             )
             # Round 0 uses the derived sub-seed, not the raw seed.
-            from boolrel.relevance import _subseed
-
             plain = sample_relevance(
                 f, x, [1], Fraction(3, 4), Fraction(1, 10), _subseed(seed, "round-0")
             )
@@ -381,6 +380,29 @@ class TestAmplified:
             amplified_sample_relevance(
                 FIG1, X110, [1], Fraction(3, 4), Fraction(1, 10), 1, rounds=4
             )
+
+    @pytest.mark.parametrize("rounds", [1, 3, 5])
+    def test_yes_rounds_count_plain_runs(self, rounds):
+        # Round r is the plain run at sub-seed "round-r", so the amplified
+        # tally is the number of those runs that answer Yes.
+        rng = random.Random(100 + rounds)
+        for _ in range(8):
+            d = rng.randint(2, 7)
+            f = random_formula(rng, d, 10)
+            x = random_assignment(rng, d)
+            s = sorted(rng.sample(range(1, d + 1), rng.randint(0, d - 1)))
+            seed = rng.getrandbits(64)
+            delta, gamma = Fraction(rng.randint(11, 20), 20), Fraction(1, 10)
+            amp = amplified_sample_relevance(f, x, s, delta, gamma, seed, rounds)
+            plain = [
+                sample_relevance(f, x, s, delta, gamma, _subseed(seed, f"round-{r}"))
+                for r in range(rounds)
+            ]
+            assert amp.yes_rounds == sum(p.verdict is Verdict.YES for p in plain)
+            assert amp.rounds == rounds
+            assert amp.samples_per_round == plain[0].samples
+            want = Verdict.YES if 2 * amp.yes_rounds > rounds else Verdict.NO
+            assert amp.verdict is want
 
 
 class TestDecideGapped:
@@ -439,6 +461,97 @@ class TestGreedy:
             )
             ok, _ = is_delta_relevant(f, x, s, Fraction(4, 5) - Fraction(1, 10))
             assert ok
+
+
+def reference_greedy(f, x, delta, gamma, seed, rounds):
+    """greedy_min_relevant rebuilt from public calls: amplified accept checks,
+    exact re-checks at delta - gamma, and one plain run per candidate whose
+    success count is the estimate (the smallest index wins a tie)."""
+    d = f.arity
+    current: tuple[int, ...] = ()
+    while True:
+        tag = "accept-" + ",".join(map(str, current))
+        out = amplified_sample_relevance(
+            f, x, current, delta, gamma, _subseed(seed, tag), rounds
+        )
+        if out.verdict is Verdict.YES and is_delta_relevant(
+            f, x, current, delta - gamma
+        )[0]:
+            return len(current), current
+        best, best_successes = None, -1
+        for v in range(1, d + 1):
+            if v in current:
+                continue
+            sub = _subseed(seed, f"estimate-{len(current)}-{v}")
+            successes = sample_relevance(
+                f, x, sorted(current + (v,)), delta, gamma, sub
+            ).successes
+            if successes > best_successes:
+                best, best_successes = v, successes
+        current = tuple(sorted(current + (best,)))
+
+
+class TestSampledLayer:
+    """The sampled calls against each other and against public references."""
+
+    def test_greedy_equals_public_reference(self):
+        rng = random.Random(1905)
+        for trial in range(30):
+            d = rng.randint(1, 8)
+            f = random_formula(rng, d, rng.randint(4, 14))
+            x = random_assignment(rng, d)
+            delta = Fraction(rng.randint(12, 20), 20)
+            gamma = Fraction(1, rng.choice([5, 10]))
+            seed = rng.getrandbits(64)
+            k, s = greedy_min_relevant(f, x, delta, gamma, seed, rounds=3)
+            want = reference_greedy(f, x, delta, gamma, seed, 3)
+            assert (k, s.indices()) == want, (trial, str(f), str(x))
+
+    def test_greedy_parity_needs_every_variable(self):
+        # No proper subset of a parity's variables moves its agreement off
+        # 1/2, so at delta 1 greedy grows to the full set, where the accept
+        # check always passes.
+        f = parse("x1 ^ x2 ^ x3 ^ x4")
+        x = Assignment.from_string("1010")
+        for seed in range(5):
+            k, s = greedy_min_relevant(f, x, Fraction(1), Fraction(1, 5), seed)
+            assert (k, s.indices()) == (4, (1, 2, 3, 4))
+
+    def test_sample_count_once_per_call(self, monkeypatch):
+        # n depends only on gamma: each public sampled call sizes its runs
+        # once, however many rounds or candidates it draws.
+        sized, checks = [], []
+        real_count = relevance.sample_count
+        real_amplified = relevance.amplified_sample_relevance
+
+        def count(gamma):
+            sized.append(gamma)
+            return real_count(gamma)
+
+        def amplified(*args, **kwargs):
+            checks.append(args[2])
+            return real_amplified(*args, **kwargs)
+
+        monkeypatch.setattr(relevance, "sample_count", count)
+        delta, gamma = Fraction(3, 4), Fraction(1, 5)
+        sample_relevance(FIG1, X110, [1], delta, gamma, 1)
+        assert len(sized) == 1
+        sized.clear()
+        amplified_sample_relevance(FIG1, X110, [1], delta, gamma, 1, rounds=5)
+        assert len(sized) == 1
+        monkeypatch.setattr(relevance, "amplified_sample_relevance", amplified)
+        f = parse("x1 ^ x2 ^ x3 ^ x4")
+        x = Assignment.from_string("1010")
+        for call in (
+            lambda: decide_gapped(f, x, 2, Fraction(9, 10), gamma, 3, rounds=5),
+            lambda: greedy_min_relevant(f, x, Fraction(1), gamma, 3, rounds=5),
+        ):
+            sized.clear()
+            checks.clear()
+            call()
+            assert len(checks) > 1
+            # One for the call itself, one per amplified check it runs.
+            assert len(sized) == 1 + len(checks)
 
 
 class TestOracles:
