@@ -4,30 +4,30 @@ One subcommand per library operation; every run emits a single JSON report
 whose ``parameters`` echo everything that influences the result, so
 identical invocations (including the seed) produce byte-identical reports.
 
-The query subcommands (eval through compile-relu) are declared once, in
-_ROWS: a row names the flags its subcommand reads besides --formula,
---instance and --output.  The row builds the subparser, its flags are laid
-over the --instance object (or over {"formula": ...}) that
-RelevanceQuery.from_json_dict reads, and it lists the ``parameters`` keys
-besides formula and arity.  --enum-cap and --search-cap exist only where the
-cap is passed on; an unset one falls back to BOOLREL_ENUM_CAP /
-BOOLREL_SEARCH_CAP, then to the library default.
+_PATHS names every command path, the flags it reads and those it requires.
+_parse reads ``--flag value`` and ``--flag=value`` (the next token is the
+value, verbatim, unless it looks like a flag; a repeated flag keeps its
+last value) and converts each value through _FLAGS.  Anything else, -h and
+--help included, is a usage error whose reason lists the flags the command
+reads.  The query subcommands' flags are laid over the --instance object
+(or over {"formula": ...}) that RelevanceQuery.from_json_dict reads.
+--enum-cap and --search-cap exist only where the cap is passed on; an unset
+one falls back to BOOLREL_ENUM_CAP / BOOLREL_SEARCH_CAP, then to the library
+default.
 
 Exit codes: 0 Yes/success, 1 No, 2 Indeterminate or outside-promise,
-64 usage error, 65 cap refusal, 70 internal error (a JSON report, not a
-traceback).
+64 usage error (also an unreadable input or unwritable --output file),
+65 cap refusal, 70 internal error (a JSON report, not a traceback).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -83,11 +83,6 @@ class UsageError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _cap(text: str) -> int:
     """--enum-cap, --search-cap and their BOOLREL_* variables: an integer >= 0."""
     try:
@@ -95,7 +90,7 @@ def _cap(text: str) -> int:
     except ValueError:
         value = -1  # refused below, with the negative numbers
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        raise ValueError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -104,21 +99,16 @@ def _indices(text: str) -> list[int]:
     return [int(part) for part in text.split(",")] if text.strip() else []
 
 
-# argparse keywords of every flag a query subcommand or a reduce step reads.
+# The converter of every flag's value; a ValueError it raises is a usage
+# error.  Rationals stay text here: each command reads them itself.
 _FLAGS = {
-    "x": dict(help="assignment bitstring, leftmost bit is x1"),
-    "set": dict(type=_indices, help="comma-separated indices, empty for {}"),
-    "k": dict(type=int),
-    "delta": dict(help="rational threshold, 'p/q' or decimal"),
-    "gamma": dict(help="rational gap, 'p/q' or decimal"),
-    "seed": dict(type=int, help="64-bit run seed"),
-    "rounds": dict(type=int, default=15, help="amplification rounds (odd)"),
-    "enum_cap": dict(type=_cap),
-    "search_cap": dict(type=_cap),
-    # reduce only
-    "formula": dict(help="the source formula, instead of --instance"),
-    "m": dict(type=int),
+    "formula": str, "instance": str, "output": str,
+    "x": str, "set": _indices, "k": int, "delta": str, "gamma": str,
+    "seed": int, "rounds": int, "enum_cap": _cap, "search_cap": _cap, "m": int,
+    "eta": str, "ell": int, "d": int, "delta1": str, "delta2": str,
+    "alpha": str, "source": str, "reduced": str,
 }
+_SPELLED = {"--" + name.replace("_", "-"): name for name in _FLAGS}
 
 # The flags each query subcommand reads, besides --formula, --instance and
 # --output.  A subcommand refuses every other flag, and its report's
@@ -136,11 +126,84 @@ _ROWS = {
     "compile-relu": (),
 }
 
+_SHIFT = ("d", "delta1", "delta2")
+_INAPPROX = ("d", "delta", "gamma", "alpha")
+
+# Every command path: the flags it reads, and those of them it requires.
+_PATHS = {
+    **{command: (("formula", "instance", *row, "output"), ())
+       for command, row in _ROWS.items()},
+    "gadget pi": (("eta", "ell", "output"), ("eta", "ell")),
+    "gadget raise": ((*_SHIFT, "output"), _SHIFT),
+    "gadget lower": ((*_SHIFT, "output"), _SHIFT),
+    # A reduce step is named <source kind>-<reduced kind>.
+    "reduce emajsat-ip1": (("instance", "formula", "k", "output"), ()),
+    "reduce ip1-ip2": (("instance", "delta", "output"), ("instance", "delta")),
+    "reduce ip2-ri": (("instance", "delta", "output"), ("instance",)),
+    "reduce sat-ip3": (("instance", "formula", "delta", "gamma", "m", "output"),
+                       ("delta", "gamma")),
+    "verify": (("source", "reduced", "output"), ("source", "reduced")),
+    "inapprox-params": ((*_INAPPROX, "output"), _INAPPROX),
+}
+
+# A token that looks like a flag is never taken as a flag's value: it starts
+# with "-" and is not "-", a negative number or text with a space.
+_FLAG_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")
+
+# Commands with a second word, and the key the word is stored under.
+_SUBCOMMANDS = {"gadget": "mode", "reduce": "step"}
+
 # Cap flag -> (environment variable, default) an unset flag falls back to.
 _CAPS = {
     "enum_cap": ("BOOLREL_ENUM_CAP", DEFAULT_ENUM_CAP),
     "search_cap": ("BOOLREL_SEARCH_CAP", DEFAULT_SEARCH_CAP),
 }
+
+
+def _parse(argv: list[str]) -> dict:
+    """{flag name: value} of one invocation, with the second word of a
+    gadget or reduce command under "mode" or "step", --rounds defaulting
+    to 15 and an unset cap resolved, where the command reads them."""
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
+    words = 2 if sub else 1
+    path = " ".join(argv[:words])
+    if path not in _PATHS:
+        raise UsageError(f"unknown command {path!r}; the commands are "
+                         + ", ".join(_PATHS))
+    reads, required = _PATHS[path]
+    spelled = {name: "--" + name.replace("_", "-") for name in reads}
+    usage = f"{path} reads {', '.join(spelled.values())}"
+    values = {sub: argv[1]} if sub else {}
+    tokens = iter(argv[words:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        name = _SPELLED.get(flag)
+        if name not in reads:
+            raise UsageError(f"unrecognized arguments: {token}; {usage}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _FLAG_LIKE.fullmatch(value):
+                raise UsageError(f"argument {flag}: expected one argument; {usage}")
+        try:
+            values[name] = _FLAGS[name](value)
+        except ValueError as err:
+            raise UsageError(f"argument {flag}: {err}; {usage}") from err
+    missing = [spelled[name] for name in required if name not in values]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         f"{', '.join(missing)}; {usage}")
+    if "formula" in reads and ("formula" in values) == ("instance" in values):
+        raise UsageError("provide exactly one of --instance or --formula")
+    if "rounds" in reads:
+        values.setdefault("rounds", 15)
+    for name, (env, default) in _CAPS.items():
+        if name in reads and name not in values:
+            raw = os.environ.get(env)
+            try:
+                values[name] = default if raw is None else _cap(raw)
+            except ValueError as err:
+                raise UsageError(f"{env} {err}") from err
+    return values
 
 
 def _rational(text: str) -> Fraction:
@@ -171,8 +234,10 @@ def _load_instance_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except FileNotFoundError as err:
-        raise UsageError(f"instance file not found: {path}") from err
+    except OSError as err:
+        raise UsageError(f"cannot read instance file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise UsageError(f"instance file is not UTF-8: {path}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"instance file is not valid JSON: {err}") from err
     if not isinstance(data, dict):
@@ -191,19 +256,16 @@ def _load_problem(path: str) -> ProblemInstance:
         raise UsageError(f"bad instance file: {err}") from err
 
 
-def _query(ns: argparse.Namespace) -> RelevanceQuery:
+def _query(command: str, args: dict) -> RelevanceQuery:
     """The query of exactly one of --instance and --formula, with the
     subcommand's flags laid over it."""
-    if (ns.instance is None) == (ns.formula is None):
-        raise UsageError("provide exactly one of --instance or --formula")
-    row = _ROWS[ns.command]
-    if ns.instance is not None:
-        data = _load_instance_file(ns.instance)
+    row = _ROWS[command]
+    if "instance" in args:
+        data = _load_instance_file(args["instance"])
     else:
-        data = {"formula": ns.formula}
+        data = {"formula": args["formula"]}
     # from_json_dict reads only the query's fields (not rounds or the caps).
-    data.update((name, getattr(ns, name)) for name in row
-                if getattr(ns, name) is not None)
+    data.update((name, args[name]) for name in row if name in args)
     data.setdefault("delta", "1")
     if "set" in row and data.get("set") is None:
         data["set"] = []
@@ -223,12 +285,12 @@ def _query(ns: argparse.Namespace) -> RelevanceQuery:
     return query
 
 
-def _echo(ns: argparse.Namespace, query: RelevanceQuery) -> dict:
+def _echo(command: str, args: dict, query: RelevanceQuery) -> dict:
     """formula, arity and the subcommand's row, as resolved."""
     resolved = query.to_json_dict()
     out = {"formula": resolved["formula"], "arity": query.f.arity}
-    for name in _ROWS[ns.command]:
-        out[name] = resolved[name] if name in resolved else getattr(ns, name)
+    for name in _ROWS[command]:
+        out[name] = resolved[name] if name in resolved else args[name]
     return out
 
 
@@ -241,58 +303,57 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 # --------------------------------------------------------------------------
-# Handlers.  Each takes the parsed namespace and returns
-# (exit_code, result_dict, parameter_echo).
+# Handlers.  Each takes the parsed flags.  A query subcommand's handler finds
+# its query under "query" and returns (exit_code, result_dict), and run adds
+# the echo; the others return (exit_code, result_dict, parameter_echo).
 
 
-def _cmd_eval(ns):
-    query = _query(ns)
-    return EXIT_YES, {"value": evaluate(query.f, query.x)}, _echo(ns, query)
+def _cmd_eval(args):
+    query = args["query"]
+    return EXIT_YES, {"value": evaluate(query.f, query.x)}
 
 
-def _cmd_prob(ns):
-    query = _query(ns)
-    p = satisfaction_probability(query.f, ns.enum_cap)
-    return EXIT_YES, {"probability": _prob_json(p)}, _echo(ns, query)
+def _cmd_prob(args):
+    p = satisfaction_probability(args["query"].f, args["enum_cap"])
+    return EXIT_YES, {"probability": _prob_json(p)}
 
 
-def _cmd_check(ns):
-    query = _query(ns)
-    p = conditional_agreement_probability(query.f, query.x, query.s, ns.enum_cap)
+def _cmd_check(args):
+    query = args["query"]
+    p = conditional_agreement_probability(query.f, query.x, query.s, args["enum_cap"])
     relevant = p >= query.delta
     result = {
         "verdict": "yes" if relevant else "no",
         "probability": _prob_json(p),
         "set": list(query.s.indices()),
     }
-    return (EXIT_YES if relevant else EXIT_NO), result, _echo(ns, query)
+    return (EXIT_YES if relevant else EXIT_NO), result
 
 
-def _cmd_decide(ns):
-    query = _query(ns)
+def _cmd_decide(args):
+    query = args["query"]
     report = _refusing(
-        decide_relevant_input,
-        query.f, query.x, query.k, query.delta, ns.search_cap, ns.enum_cap,
+        decide_relevant_input, query.f, query.x, query.k, query.delta,
+        args["search_cap"], args["enum_cap"],
     )
     result = {"verdict": report.verdict.value, "method": report.method}
     if report.witness is not None:
         result["witness"] = list(report.witness.indices())
     if report.probability is not None:
         result["probability"] = _prob_json(report.probability)
-    return _verdict_exit(report.verdict), result, _echo(ns, query)
+    return _verdict_exit(report.verdict), result
 
 
-def _cmd_minimize(ns):
-    query = _query(ns)
+def _cmd_minimize(args):
+    query = args["query"]
     k_star, witness = solve_min_relevant_input(
-        query.f, query.x, query.delta, ns.search_cap, ns.enum_cap
+        query.f, query.x, query.delta, args["search_cap"], args["enum_cap"]
     )
-    result = {"k": k_star, "witness": list(witness.indices())}
-    return EXIT_YES, result, _echo(ns, query)
+    return EXIT_YES, {"k": k_star, "witness": list(witness.indices())}
 
 
-def _cmd_sample(ns):
-    query = _query(ns)
+def _cmd_sample(args):
+    query = args["query"]
     outcome = sample_relevance(
         query.f, query.x, query.s, query.delta, query.gamma, query.seed
     )
@@ -303,14 +364,14 @@ def _cmd_sample(ns):
         "samples": outcome.samples,
         "threshold": str(query.delta - query.gamma / 2),
     }
-    return _verdict_exit(outcome.verdict), result, _echo(ns, query)
+    return _verdict_exit(outcome.verdict), result
 
 
-def _cmd_decide_gapped(ns):
-    query = _query(ns)
+def _cmd_decide_gapped(args):
+    query = args["query"]
     report = _refusing(
         decide_gapped, query.f, query.x, query.k, query.delta, query.gamma,
-        query.seed, rounds=ns.rounds, search_cap=ns.search_cap,
+        query.seed, rounds=args["rounds"], search_cap=args["search_cap"],
     )
     result = {
         "verdict": report.verdict.value,
@@ -320,16 +381,16 @@ def _cmd_decide_gapped(ns):
     }
     if report.witness is not None:
         result["witness"] = list(report.witness.indices())
-    return _verdict_exit(report.verdict), result, _echo(ns, query)
+    return _verdict_exit(report.verdict), result
 
 
-def _cmd_greedy(ns):
-    query = _query(ns)
+def _cmd_greedy(args):
+    query = args["query"]
     k, witness = _refusing(
         greedy_min_relevant, query.f, query.x, query.delta, query.gamma,
-        query.seed, rounds=ns.rounds, enum_cap=ns.enum_cap,
+        query.seed, rounds=args["rounds"], enum_cap=args["enum_cap"],
     )
-    return EXIT_YES, {"k": k, "set": list(witness.indices())}, _echo(ns, query)
+    return EXIT_YES, {"k": k, "set": list(witness.indices())}
 
 
 def _gadget_json(gadget) -> dict:
@@ -345,16 +406,17 @@ def _gadget_json(gadget) -> dict:
     }
 
 
-def _cmd_gadget(ns):
-    if ns.mode == "pi":
-        eta = _rational(ns.eta)
-        gadget = _refusing(build_pi, eta, ns.ell)
-        echo = {"eta": str(eta), "ell": ns.ell}
+def _cmd_gadget(args):
+    if args["mode"] == "pi":
+        eta = _rational(args["eta"])
+        gadget = _refusing(build_pi, eta, args["ell"])
+        echo = {"eta": str(eta), "ell": args["ell"]}
         return EXIT_YES, {"gadget": _gadget_json(gadget)}, echo
-    delta1 = _rational(ns.delta1)
-    delta2 = _rational(ns.delta2)
-    builder = raise_probability_gadget if ns.mode == "raise" else lower_probability_gadget
-    shift = _refusing(builder, ns.d, delta1, delta2)
+    delta1 = _rational(args["delta1"])
+    delta2 = _rational(args["delta2"])
+    builder = (raise_probability_gadget if args["mode"] == "raise"
+               else lower_probability_gadget)
+    shift = _refusing(builder, args["d"], delta1, delta2)
     result = {
         "gadget": _gadget_json(shift.gadget),
         "attach": shift.attach,
@@ -362,103 +424,85 @@ def _cmd_gadget(ns):
     }
     if shift.interval is not None:
         result["interval"] = [str(shift.interval[0]), str(shift.interval[1])]
-    echo = {"d": ns.d, "delta1": str(delta1), "delta2": str(delta2)}
+    echo = {"d": args["d"], "delta1": str(delta1), "delta2": str(delta2)}
     return EXIT_YES, result, echo
 
 
-# Each reduce step: the kind of source it reads, and the flags it reads
-# besides --instance and --output.  A step refuses every other flag.
-_REDUCE_STEPS = {
-    "emajsat-ip1": ("emajsat", ("formula", "k")),
-    "ip1-ip2": ("ip1", ("delta",)),
-    "ip2-ri": ("ip2", ("delta",)),
-    "sat-ip3": ("sat", ("formula", "delta", "gamma", "m")),
-}
-
-
-def _cmd_reduce(ns):
-    step = ns.step
-    want_kind = _REDUCE_STEPS[step][0]
-    formula = getattr(ns, "formula", None)
-    if (ns.instance is None) == (formula is None):
-        raise UsageError("provide exactly one of --instance or --formula")
-    if ns.instance is not None:
-        if getattr(ns, "k", None) is not None:
+def _cmd_reduce(args):
+    step = args["step"]
+    want_kind = step.split("-")[0]
+    if "instance" in args:
+        if "k" in args:
             raise UsageError("--k goes with --formula; an instance carries its k")
-        source = _load_problem(ns.instance)
+        source = _load_problem(args["instance"])
     else:
         try:
-            f = parse(formula)
+            f = parse(args["formula"])
         except FormulaSyntaxError as err:
             raise UsageError(str(err)) from err
         if want_kind == "sat":
             source = ProblemInstance(kind="sat", f=f)
-        elif ns.k is None:
+        elif "k" not in args:
             raise UsageError("emajsat sources need --k")
         else:
-            source = _refusing(ProblemInstance, kind="emajsat", f=f, k=ns.k)
+            source = _refusing(ProblemInstance, kind="emajsat", f=f, k=args["k"])
     if source.kind != want_kind:
         raise UsageError(
             f"step {step} needs a {want_kind} source, got {source.kind}"
         )
+    delta, gamma = args.get("delta"), args.get("gamma")
     try:
         if step == "emajsat-ip1":
             reduced = reduce_emajsat_to_ip1(source)
         elif step == "ip1-ip2":
-            if ns.delta is None:
-                raise UsageError("ip1-ip2 needs --delta")
-            reduced = reduce_ip1_to_ip2(source, _rational(ns.delta))
+            reduced = reduce_ip1_to_ip2(source, _rational(delta))
         elif step == "ip2-ri":
-            delta = _rational(ns.delta) if ns.delta else None
-            reduced = reduce_ip2_to_relevant_input(source, delta)
+            reduced = reduce_ip2_to_relevant_input(
+                source, _rational(delta) if delta else None)
         else:
-            if ns.delta is None or ns.gamma is None:
-                raise UsageError("sat-ip3 needs --delta and --gamma")
             reduced = reduce_sat_to_ip3(
-                source.f, _rational(ns.delta), _rational(ns.gamma), ns.m
+                source.f, _rational(delta), _rational(gamma), args.get("m")
             )
     except ValueError as err:
         raise UsageError(str(err)) from err
     result = {"instance": reduced.to_json_dict()}
     echo = {"step": step, "source": source.to_json_dict()}
-    for name in ("delta", "gamma", "m"):
-        if getattr(ns, name, None) is not None:
-            echo[name] = getattr(ns, name)
+    echo.update((name, args[name]) for name in ("delta", "gamma", "m") if name in args)
     return EXIT_YES, result, echo
 
 
-def _cmd_verify(ns):
-    source = _load_problem(ns.source)
-    reduced = _load_problem(ns.reduced)
+def _cmd_verify(args):
+    source = _load_problem(args["source"])
+    reduced = _load_problem(args["reduced"])
     check = _refusing(verify_reduction, source, reduced)
-    echo = {"source": ns.source, "reduced": ns.reduced}
+    echo = {"source": args["source"], "reduced": args["reduced"]}
     if check.skipped:
         return EXIT_INDETERMINATE, check.to_json_dict(), echo
     return (EXIT_YES if check.passed else EXIT_NO), check.to_json_dict(), echo
 
 
-def _cmd_inapprox(ns):
+def _cmd_inapprox(args):
     record = _refusing(
-        inapprox_parameters,
-        ns.d, _rational(ns.delta), _rational(ns.gamma), _rational(ns.alpha),
+        inapprox_parameters, args["d"], _rational(args["delta"]),
+        _rational(args["gamma"]), _rational(args["alpha"]),
     )
-    echo = {"d": ns.d, "delta": ns.delta, "gamma": ns.gamma, "alpha": ns.alpha}
+    echo = {name: args[name] for name in _INAPPROX}
     return (EXIT_YES if record.check else EXIT_NO), record.to_json_dict(), echo
 
 
-def _cmd_shapley(ns):
-    query = _query(ns)
+def _cmd_shapley(args):
+    query = args["query"]
     vector = shapley_values(query.f, query.x)
     result = {
         "phi": [str(v) for v in vector.values],
         "nu_full": str(vector.grand_value),
         "efficiency_check": vector.is_efficient(),
     }
-    return EXIT_YES, result, _echo(ns, query)
+    return EXIT_YES, result
 
 
-def _cmd_compile_relu(ns):
-    query = _query(ns)
+def _cmd_compile_relu(args):
+    query = args["query"]
     net = compile_to_relu(query.f)
     d = query.f.arity
     agreement = True
@@ -475,7 +519,7 @@ def _cmd_compile_relu(ns):
         "biases": [b.tolist() for b in net.biases],
         "agreement_checked": agreement,
     }
-    return (EXIT_YES if agreement else EXIT_NO), result, _echo(ns, query)
+    return (EXIT_YES if agreement else EXIT_NO), result
 
 
 _HANDLERS = {
@@ -496,125 +540,72 @@ _HANDLERS = {
 }
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parse_args keeps no state
-    between calls, and building it costs milliseconds."""
-    parser = _Parser(prog="boolrel", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for command, row in _ROWS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--instance", help="JSON instance file")
-        p.add_argument("--formula", help="formula text, e.g. '(x1 & x2) | !x3'")
-        for name in row:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
-        p.add_argument("--output", help="write the report to this path")
-
-    gadget = sub.add_parser("gadget")
-    gadget_sub = gadget.add_subparsers(dest="mode", required=True)
-    pi = gadget_sub.add_parser("pi")
-    pi.add_argument("--eta", required=True)
-    pi.add_argument("--ell", type=int, required=True)
-    for mode in ("raise", "lower"):
-        gp = gadget_sub.add_parser(mode)
-        gp.add_argument("--d", type=int, required=True)
-        gp.add_argument("--delta1", required=True)
-        gp.add_argument("--delta2", required=True)
-    for gp in gadget_sub.choices.values():
-        gp.add_argument("--output")
-
-    reduce_sub = sub.add_parser("reduce").add_subparsers(dest="step", required=True)
-    for step, (_, flags) in _REDUCE_STEPS.items():
-        rp = reduce_sub.add_parser(step)
-        rp.add_argument("--instance", help="JSON problem-instance file")
-        for name in flags:
-            rp.add_argument("--" + name, **_FLAGS[name])
-        rp.add_argument("--output")
-
-    verify_p = sub.add_parser("verify")
-    verify_p.add_argument("--source", required=True)
-    verify_p.add_argument("--reduced", required=True)
-    verify_p.add_argument("--output")
-
-    inapprox = sub.add_parser("inapprox-params")
-    inapprox.add_argument("--d", type=int, required=True)
-    inapprox.add_argument("--delta", required=True)
-    inapprox.add_argument("--gamma", required=True)
-    inapprox.add_argument("--alpha", required=True)
-    inapprox.add_argument("--output")
-    return parser
+def _failure(argv: list[str], code: int, kind: str, reason: str, **detail) -> dict:
+    """The report of an invocation that ends in an error."""
+    return {
+        "command": argv[0] if argv else None,
+        "error": {"kind": kind, "reason": reason, **detail},
+        "exit_code": code,
+    }
 
 
-def _env_cap(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return _cap(raw)
-    except argparse.ArgumentTypeError as err:
-        raise UsageError(f"{name} {err}") from err
+def _text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def run(argv: list[str]) -> tuple[int, str, Optional[str]]:
+def run(argv: list[str]) -> tuple[int, str, str | None]:
     """Execute one invocation; returns (exit_code, report_text, output_path)."""
-    parser = _build_parser()
     output = None
     try:
-        ns = parser.parse_args(argv)
-        for name, (env, default) in _CAPS.items():
-            if getattr(ns, name, default) is None:  # absent where not read
-                setattr(ns, name, _env_cap(env, default))
-        output = ns.output
-        code, result, echo = _HANDLERS[ns.command](ns)
+        args = _parse(argv)
+        output = args.get("output")
+        command = argv[0]
+        if command in _ROWS:
+            args["query"] = query = _query(command, args)
+            code, result = _HANDLERS[command](args)
+            echo = _echo(command, args, query)
+        else:
+            code, result, echo = _HANDLERS[command](args)
         report = {
-            "command": ns.command,
+            "command": command,
             "parameters": echo,
             "result": result,
             "exit_code": code,
         }
     except UsageError as err:
-        report = {
-            "command": argv[0] if argv else None,
-            "error": {"kind": "usage", "reason": str(err)},
-            "exit_code": EXIT_USAGE,
-        }
         code = EXIT_USAGE
+        report = _failure(argv, code, "usage", str(err))
     except EnumerationCapExceeded as err:
-        report = {
-            "command": argv[0] if argv else None,
-            "error": {"kind": "cap", "reason": str(err)},
-            "exit_code": EXIT_CAP,
-        }
         code = EXIT_CAP
+        report = _failure(argv, code, "cap", str(err))
     except Exception as err:
         # The one boundary every invocation crosses: whatever escapes the
         # handlers (say, RecursionError on very deep formulas) still ends in
         # a JSON report, never a traceback; the innermost frame says where.
         frame = traceback.extract_tb(err.__traceback__)[-1]
-        report = {
-            "command": argv[0] if argv else None,
-            "error": {
-                "kind": "internal",
-                "reason": f"{type(err).__name__}: {err}",
-                "where": f"{os.path.basename(frame.filename)}:{frame.lineno}"
-                f" in {frame.name}",
-            },
-            "exit_code": EXIT_INTERNAL,
-        }
         code = EXIT_INTERNAL
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return code, text, output
+        report = _failure(
+            argv, code, "internal", f"{type(err).__name__}: {err}",
+            where=f"{os.path.basename(frame.filename)}:{frame.lineno}"
+            f" in {frame.name}",
+        )
+    return code, _text(report), output
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     code, text, output = run(argv)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return code
+        except OSError as err:
+            code = EXIT_USAGE
+            text = _text(_failure(
+                argv, code, "usage",
+                f"cannot write the report to {output}: {err.strerror}"))
+    sys.stdout.write(text)
     return code
 
 

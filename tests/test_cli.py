@@ -128,28 +128,39 @@ class TestUsageErrors:
         code, _ = invoke("frobnicate")
         assert code == EXIT_USAGE
 
-    def test_non_object_instance_file(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
+    @pytest.mark.parametrize(
+        "content,reason",
+        [(b"[1, 2]", "JSON object"), (None, "Is a directory"), (b"\xff\xfe{", "UTF-8")],
+        ids=["list", "directory", "not-utf8"],
+    )
+    def test_non_object_instance_file(self, tmp_path, content, reason):
+        # A directory and undecodable bytes once exited 70.
+        path = tmp_path / "instance.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         for argv in (
             ("check", "--instance", str(path)),
+            ("reduce", "ip2-ri", "--instance", str(path)),
             ("verify", "--source", str(path), "--reduced", str(path)),
         ):
             code, report = invoke(*argv)
             assert code == EXIT_USAGE
             assert report["error"]["kind"] == "usage"
-            assert "JSON object" in report["error"]["reason"]
+            assert reason in report["error"]["reason"]
 
     def test_shared_parser_after_usage_error(self):
+        # A refused argv leaves nothing behind that changes the next report.
         argv = [
             "decide", "--formula", "(x1&x2)|!x3", "--x", "110", "--k", "1",
             "--delta", "1",
         ]
-        cli._build_parser.cache_clear()
         fresh = run(argv)
-        assert run(["decide", "--formula", "x1", "--k", "one"])[0] == EXIT_USAGE
-        assert run(argv) == fresh
-        assert cli._build_parser.cache_info().misses == 1
+        for refused in (["decide", "--formula", "x1", "--k", "one"],
+                        [*argv, "--k"], [*argv, "--seed", "1"]):
+            assert run(refused)[0] == EXIT_USAGE
+            assert run(argv) == fresh
 
 
 class TestCapRefusal:
@@ -633,6 +644,19 @@ class TestConsoleEntry:
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_CAP
 
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        # This once ended in a traceback and exit 1, which reads as No.
+        out = tmp_path / "missing" / "report.json"
+        cmd = [sys.executable, "-m", "boolrel.cli", "prob", "--formula", "x1",
+               "--output", str(out)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_USAGE
+        report = json.loads(proc.stdout)
+        assert report["exit_code"] == EXIT_USAGE
+        assert report["error"]["kind"] == "usage"
+        assert str(out) in report["error"]["reason"]
+
 
 # Flags each relevance subcommand takes besides --formula/--instance.
 ROUND_TRIP_FLAGS = {
@@ -947,3 +971,83 @@ class TestRepeatedQueries:
                              "--x", "1" * (i + 1))
             assert code == EXIT_YES
         assert run(argv) == first
+
+
+# Every command path besides the query subcommands: an answered argv after
+# the command words ({ip1} and {ip2} are reduce results), and the flags it
+# reads besides those and --output.
+OTHER_PATHS = {
+    "gadget pi": (["--eta", "7/10", "--ell", "4"], ()),
+    "gadget raise": (["--d", "2", "--delta1", "1/2", "--delta2", "9/10"], ()),
+    "gadget lower": (["--d", "2", "--delta1", "1/2", "--delta2", "3/4"], ()),
+    "reduce emajsat-ip1": (["--formula", "x1 & (x2 | x3)", "--k", "1"], ("--instance",)),
+    "reduce ip1-ip2": (["--instance", "{ip1}", "--delta", "1/2"], ()),
+    "reduce ip2-ri": (["--instance", "{ip2}"], ("--delta",)),
+    "reduce sat-ip3": (["--formula", "x1 | x2", "--delta", "1/2", "--gamma", "1/4"],
+                       ("--instance", "--m")),
+    "verify": (["--source", "{ip1}", "--reduced", "{ip2}"], ()),
+    "inapprox-params": (["--d", "3", "--delta", "1/2", "--gamma", "1/4",
+                         "--alpha", "1/2"], ()),
+}
+EVERY_FLAG = {
+    "--formula", "--instance", "--output", "--x", "--set", "--k", "--delta",
+    "--gamma", "--seed", "--rounds", "--enum-cap", "--search-cap", "--m", "--eta",
+    "--ell", "--d", "--delta1", "--delta2", "--alpha", "--source", "--reduced",
+}
+# A value each flag converts, given before the one that counts.
+SPARE = {"--k": "7", "--seed": "7", "--rounds": "7", "--m": "7", "--ell": "7",
+         "--d": "7", "--set": "2", "--enum-cap": "3", "--search-cap": "3"}
+
+
+def answered_argv(path, tmp_path):
+    """(command words, flag/value pairs, flags read) of an answered argv."""
+    if path in ROWS:
+        flags = ["--formula", "(x1&x2)|!x3", *row_flags(path)]
+        also = ("--instance",)
+    else:
+        ip1, ip2 = tmp_path / "ip1.json", tmp_path / "ip2.json"
+        _, report = invoke("reduce", "emajsat-ip1", "--formula", "x1 & (x2 | x3)",
+                           "--k", "1")
+        ip1.write_text(json.dumps(report["result"]["instance"]))
+        _, report = invoke("reduce", "ip1-ip2", "--instance", str(ip1), "--delta", "1/2")
+        ip2.write_text(json.dumps(report["result"]["instance"]))
+        flags, also = OTHER_PATHS[path]
+        flags = [arg.format(ip1=ip1, ip2=ip2) for arg in flags]
+    pairs = list(zip(flags[::2], flags[1::2]))
+    pairs.append(("--output", str(tmp_path / "report.json")))
+    return path.split(), pairs, {flag for flag, _ in pairs} | set(also)
+
+
+class TestParser:
+    """The contract of the one flag parser, on every command path."""
+
+    def test_every_path_is_covered(self):
+        assert set(ROWS) | set(OTHER_PATHS) == set(cli._PATHS)
+
+    @pytest.mark.parametrize("path", sorted(cli._PATHS))
+    def test_contract(self, path, tmp_path):
+        words, pairs, reads = answered_argv(path, tmp_path)
+        argv = words + [arg for pair in pairs for arg in pair]
+        report = run(argv)
+        assert report[0] != EXIT_USAGE, report[1]
+        assert report[2] == str(tmp_path / "report.json")
+        assert run(words + [f"{flag}={value}" for flag, value in pairs]) == report
+        repeated = [arg for flag, value in pairs
+                    for arg in (flag, SPARE.get(flag, "junk"), flag, value)]
+        assert run(words + repeated) == report
+        refused = [[flag, "1"] for flag in sorted(EVERY_FLAG - reads)]
+        # An abbreviation, help, a missing value and a flag-like value.
+        refused += [["--form", "x1"], ["-h"], ["--help"], [pairs[0][0]],
+                    ["--output", "-o"]]
+        for extra in refused:
+            code, text, _ = run(argv + extra)
+            assert code == EXIT_USAGE, extra
+            # The reason lists the flags the command reads.
+            reason = json.loads(text)["error"]["reason"]
+            assert set(reason.split(f"; {path} reads ")[1].split(", ")) == reads
+
+    def test_empty_argv_and_help(self):
+        for argv in ([], ["-h"], ["--help"], ["gadget"], ["reduce", "--help"]):
+            code, report = invoke(*argv)
+            assert code == EXIT_USAGE
+            assert report["error"]["kind"] == "usage"
