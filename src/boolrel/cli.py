@@ -240,6 +240,8 @@ def _load_instance_file(path: str) -> dict:
         raise UsageError(f"instance file is not UTF-8: {path}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"instance file is not valid JSON: {err}") from err
+    except ValueError as err:  # open() refuses a path with a NUL byte
+        raise UsageError(f"cannot read instance file {path}: {err}") from err
     if not isinstance(data, dict):
         raise UsageError(
             f"instance file must hold a JSON object, got {type(data).__name__}"
@@ -600,11 +602,11 @@ def main(argv: list[str] | None = None) -> int:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text)
             return code
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: a NUL byte
+            reason = err.strerror if isinstance(err, OSError) else err
             code = EXIT_USAGE
             text = _text(_failure(
-                argv, code, "usage",
-                f"cannot write the report to {output}: {err.strerror}"))
+                argv, code, "usage", f"cannot write the report to {output}: {reason}"))
     sys.stdout.write(text)
     return code
 

@@ -1,17 +1,18 @@
-"""Exact probability computation under the uniform distribution.
+"""Exact counting under the uniform distribution.
 
-All probabilities arising from uniform Boolean counting are dyadic rationals
-j / 2^f; they are computed and compared exactly, never in floating point.
-Tractability on large formulas comes from three exact devices layered over
-bit-parallel enumeration:
+A probability of uniform Boolean counting is a count over a power of two,
+so the core counts in integers and never divides: a node's value is its
+number of models over its w free variables (support minus fixed ones).
+Three exact devices are layered over bit-parallel enumeration:
 
 * independent components: children of an AND/OR/XOR with pairwise-disjoint
-  free variables combine by P(A and B) = P(A)P(B),
-  P(A or B) = P(A) + P(B) - P(A)P(B), P(A xor B) = P(A) + P(B) - 2P(A)P(B);
+  free variables combine by shifts and products of their counts,
+  #(A and B) = c_A c_B, #(A or B) = 2^w - (2^w_A - c_A)(2^w_B - c_B),
+  #(A xor B) = c_A (2^w_B - c_B) + (2^w_A - c_A) c_B;
 
-* plug splits: a subtree whose free variables occur nowhere else can be
-  replaced by a constant and weighted by its own probability
-  (P(F) = P(T)P(F[T:=1]) + (1-P(T))P(F[T:=0]));
+* plug splits: a subtree whose free variables occur nowhere else is replaced
+  by a constant and weighted by its count: #F = c_T #F[T:=1] +
+  (2^w_T - c_T) #F[T:=0], each term shifted to F's width;
 
 * XOR freshening: an XOR chain of distinct variables that each occur exactly
   once in the whole formula is, in distribution, a single fresh fair bit, so
@@ -21,11 +22,12 @@ bit-parallel enumeration:
 
 Conditioning on y_S = x_S is handled without rebuilding ASTs: fixed variables
 are carried beside the nodes and resolved during enumeration.
-
 `ConditionalEvaluator._split` decides how one node splits (components, a
 plug, or none: enumerate), and `_prob` is one loop over an explicit stack
-that solves the parts in order and combines them with `_combine`, so the
-depth of a decomposition is bounded by memory, not by the recursion limit.
+that solves the parts and combines them with `_combine`, so the depth of a
+decomposition is bounded by memory, not by the recursion limit.  Queries go
+through `ConditionalEvaluator.count`, one entry of `coalition_counts`;
+`Fraction` and `DyadicProb` appear only at the public surface built on it.
 
 For formulas of at most TABLE_CAP variables, `coalition_counts` gives the
 exact conditional count of every subset S at once: a superset-sum (fast
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import prod
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
@@ -297,21 +300,26 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
 _LAWS = {And: "and", Or: "or", Xor: "xor"}
 
 
-def _combine(law: str, probs: Sequence[Fraction]) -> Fraction:
-    """P of a split node from its parts' P: independent components under
-    and/or/xor, or the plug split's (P(t), P(node[t:=1]), P(node[t:=0]))."""
+def _combine(law: str, parts: Sequence[tuple[int, int]], width: int) -> int:
+    """Models of a split node over its `width` free variables from its
+    parts' (models, free variables): components under and/or/xor, or the
+    plug split's (t, node[t:=1], node[t:=0]).  Folding can drop a part's free
+    variables, so widths may sum below `width`: each one dropped doubles."""
     if law == "plug":
-        p_t, high, low = probs
-        return p_t * high + (1 - p_t) * low
-    acc = probs[0]
-    for p in probs[1:]:
-        if law == "and":
-            acc = acc * p
-        elif law == "or":
-            acc = acc + p - acc * p
-        else:
-            acc = acc + p - 2 * acc * p
-    return acc
+        (c_t, w_t), (high, w_high), (low, w_low) = parts
+        return (c_t * high << (width - w_t - w_high)) + (
+            ((1 << w_t) - c_t) * low << (width - w_t - w_low)
+        )
+    rest = width - sum(w for _, w in parts)
+    if law == "and":
+        return prod(c for c, _ in parts) << rest
+    if law == "or":
+        return (1 << width) - (prod((1 << w) - c for c, w in parts) << rest)
+    acc = acc_width = 0  # xor: the parity of no parts is 0
+    for c, w in parts:
+        acc = acc * ((1 << w) - c) + ((1 << acc_width) - acc) * c
+        acc_width += w
+    return acc << rest
 
 
 def _component_groups(node: Node, fixed: dict[int, int]) -> list[Node]:
@@ -365,10 +373,20 @@ class ConditionalEvaluator:
 
     # -- query surface ----------------------------------------------------
 
+    def count(self, fixed: Optional[dict[int, int]] = None) -> int:
+        """#{y in {0,1}^d : y_v = fixed[v] for each fixed v, f(y) = 1}.
+
+        A partly fixed XOR group is one fair bit of the freshened root, so
+        the root can have fewer than d - |fixed| free variables; each one
+        it lacks doubles the count."""
+        fixed = fixed or {}
+        count, width = self._prob(self.root, self._translate(fixed))
+        return count << (self.formula.arity - len(fixed) - width)
+
     def satisfaction(self, fixed: Optional[dict[int, int]] = None) -> Fraction:
         """P(f(y) = 1 | y_v = fixed[v] for all fixed v)."""
-        translated = self._translate(fixed or {})
-        return self._prob(self.root, translated)
+        fixed = fixed or {}
+        return Fraction(self.count(fixed), 1 << (self.formula.arity - len(fixed)))
 
     def agreement(self, x: Assignment, s_indices: Iterable[int]) -> Fraction:
         """P(f(y) = f(x) | y_S = x_S)."""
@@ -395,32 +413,35 @@ class ConditionalEvaluator:
             # Partially fixed groups stay fair independent bits: no entry.
         return out
 
-    def _prob(self, root: Node, fixed: dict[int, int]) -> Fraction:
-        """P(root = 1 | fixed), by one loop over an explicit stack.
+    def _prob(self, root: Node, fixed: dict[int, int]) -> tuple[int, int]:
+        """(models of root over its free variables under `fixed`, how many
+        variables are free), by one loop over an explicit stack.
 
         A node that is constant, fully fixed, memoised or at most one block
-        wide is valued at once; a wider one goes to `_split`, and its parts
-        are pushed, first on top, above a frame that combines their values.
+        wide is counted at once; a wider one goes to `_split`, and its parts
+        are pushed, first on top, above a frame that combines their counts.
         A node that does not split is enumerated, up to `enum_cap` variables.
+        The memo keeps counts alone: the key fixes the width.
         """
-        value: dict[Node, Fraction] = {}
+        value: dict[Node, tuple[int, int]] = {}
         stack: list = [root]
         while stack:
             top = stack.pop()
-            if type(top) is tuple:  # (node, memo key, law, parts), parts done
-                node, key, law, parts = top
-                value[node] = self._memo[key] = _combine(law, [value[p] for p in parts])
+            if type(top) is tuple:  # (node, memo key, law, parts, width), parts done
+                node, key, law, parts, width = top
+                got = self._memo[key] = _combine(law, [value[p] for p in parts], width)
+                value[node] = (got, width)
                 continue
             if top in value:
                 continue
             if isinstance(top, Const):
-                value[top] = Fraction(top.value)
+                value[top] = (top.value, 0)
                 continue
             supp = top.support
             relevant = tuple(sorted((v, fixed[v]) for v in supp.intersection(fixed)))
             free_count = len(supp) - len(relevant)
             if free_count == 0:
-                value[top] = Fraction(evaluate_lanes(top, fixed.__getitem__, 1))
+                value[top] = (evaluate_lanes(top, fixed.__getitem__, 1), 0)
                 continue
             key = (top, relevant)
             got = self._memo.get(key)
@@ -429,7 +450,7 @@ class ConditionalEvaluator:
                     split = self._split(top, fixed)
                     if split is not None:
                         law, parts = split
-                        stack.append((top, key, law, parts))
+                        stack.append((top, key, law, parts, free_count))
                         stack.extend(reversed(parts))
                         continue
                     if free_count > self.enum_cap:
@@ -437,9 +458,8 @@ class ConditionalEvaluator:
                             free_count, self.enum_cap, "model counting"
                         )
                 free = sorted(v for v in supp if v not in fixed)
-                got = Fraction(_masked_count(top, free, fixed), 1 << free_count)
-                self._memo[key] = got
-            value[top] = got
+                got = self._memo[key] = _masked_count(top, free, fixed)
+            value[top] = (got, free_count)
         return value[root]
 
     def _split(
@@ -507,7 +527,7 @@ def satisfaction_probability(
     f: Formula, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> DyadicProb:
     """Exact P(f) = |{y : f(y)=1}| / 2^d."""
-    return DyadicProb.from_fraction(ConditionalEvaluator(f, enum_cap).satisfaction())
+    return DyadicProb(ConditionalEvaluator(f, enum_cap).count(), f.arity)
 
 
 def conditional_satisfaction_probability(
@@ -519,8 +539,9 @@ def conditional_satisfaction_probability(
     """Exact P(f(y) = 1 | y_S = x_S)."""
     indices = s.indices() if isinstance(s, SubsetMask) else tuple(s)
     _check_arities(f, x, indices)
-    ev = ConditionalEvaluator(f, enum_cap)
-    return DyadicProb.from_fraction(ev.satisfaction({i: x.bit(i) for i in indices}))
+    fixed = {i: x.bit(i) for i in indices}
+    count = ConditionalEvaluator(f, enum_cap).count(fixed)
+    return DyadicProb(count, f.arity - len(fixed))
 
 
 def conditional_agreement_probability(
@@ -530,10 +551,8 @@ def conditional_agreement_probability(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> DyadicProb:
     """Exact P(f(y) = f(x) | y_S = x_S), enumerating the free variables."""
-    indices = s.indices() if isinstance(s, SubsetMask) else tuple(s)
-    _check_arities(f, x, indices)
-    ev = ConditionalEvaluator(f, enum_cap)
-    return DyadicProb.from_fraction(ev.agreement(x, indices))
+    p1 = conditional_satisfaction_probability(f, x, s, enum_cap)
+    return p1 if evaluate(f, x) == 1 else p1.complement()
 
 
 def _check_arities(f: Formula, x: Assignment, indices: tuple[int, ...]):

@@ -205,8 +205,9 @@ def not_(child: Node) -> Node:
     return _intern(("not", child), lambda: Not(child))
 
 
-def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const):
-    """Flatten, drop neutral constants, dedupe, detect complements."""
+def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const) -> Node:
+    """The folded `cls` node: flatten, drop neutral constants, dedupe, and
+    give `absorbing` on an absorbing constant or a pair of complements."""
     flat: list[Node] = []
     negated: dict[Node, bool] = {}  # each operand with its Not stripped
     for c in children:
@@ -216,7 +217,7 @@ def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const):
             sub = (c,)
         for s in sub:
             if s is absorbing:
-                return None
+                return absorbing
             if s is neutral:
                 continue
             is_not = isinstance(s, Not)
@@ -226,30 +227,18 @@ def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const):
                 negated[base] = is_not
                 flat.append(s)
             elif seen is not is_not:
-                return None
-    return flat
+                return absorbing
+    if len(flat) <= 1:
+        return flat[0] if flat else neutral
+    return _intern((cls, *flat), lambda: cls(tuple(flat)))
 
 
 def and_(*children: Node) -> Node:
-    flat = _gather(children, And, FALSE, TRUE)
-    if flat is None:
-        return FALSE
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return _intern(("and", *flat), lambda: And(tuple(flat)))
+    return _gather(children, And, FALSE, TRUE)
 
 
 def or_(*children: Node) -> Node:
-    flat = _gather(children, Or, TRUE, FALSE)
-    if flat is None:
-        return TRUE
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return _intern(("or", *flat), lambda: Or(tuple(flat)))
+    return _gather(children, Or, TRUE, FALSE)
 
 
 def xor(left: Node, right: Node) -> Node:
@@ -279,13 +268,8 @@ _BUILD = {Not: not_, And: and_, Or: or_, Xor: xor}
 
 
 def xor_all(operands: Iterable[Node]) -> Node:
-    """Left-associative XOR chain; empty chain is 0."""
-    result: Node = FALSE
-    first = True
-    for op in operands:
-        result = op if first else xor(result, op)
-        first = False
-    return result
+    """Left-associative XOR chain; empty chain is 0 (xor(0, a) is a)."""
+    return functools.reduce(xor, operands, FALSE)
 
 
 # --------------------------------------------------------------------------

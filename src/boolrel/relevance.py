@@ -1,16 +1,15 @@
 """Relevance decision problems, exact and sampled.
 
-Exact operations compare dyadic probabilities against rational thresholds
-with integer arithmetic.  Subset searches return the first witness in
-size-then-lexicographic order.  A formula of d <= min(TABLE_CAP, enum_cap)
-variables is searched in its coalition table (counting.coalition_counts),
-size by size: only the ranks of the current size are gathered and compared
-with its integer threshold, and the first size with a hit returns its
-largest rank, so a witness of size s reads no larger set.  Wider formulas
-run a subset DFS whose branches are skipped only when a sound bound
-(conditioning on one more coordinate at most doubles a conditional
-probability) proves no witness can live below them, so pruning never
-changes the returned witness.
+Exact operations count: P(f(y) = target | y_S = x_S) is c(S) / 2^(d-|S|),
+c(S) being the number of points y with y_S = x_S and f(y) = target, and a
+set of size s meets a rational threshold exactly when c(S) reaches the
+integer `_count_threshold` of s.  Subset searches return the first witness
+in size-then-lexicographic order, and both of them accept by that one test.
+A formula of d <= min(TABLE_CAP, enum_cap) variables is searched in its
+coalition table (counting.coalition_counts), size by size, and the first
+size with a hit returns its largest rank.  Wider formulas run a subset DFS.
+As c(S) <= c(P) for P inside S, it skips a shorter prefix by the same test,
+so pruning never changes the returned witness.
 
 Sampled operations draw n = ceil(2 ln 3 / gamma^2) assignments per run (exact,
 at most DEFAULT_SAMPLE_CAP, else SampleCapExceeded before any draw) from a
@@ -239,37 +238,33 @@ def is_delta_relevant(
 def _first_witness(
     universe: tuple[int, ...],
     max_size: int,
-    prob_of: Callable[[tuple[int, ...]], Fraction],
+    count_of: Callable[[tuple[int, ...]], int],
+    d: int,
     threshold: Fraction,
     strict: bool,
-) -> Optional[tuple[tuple[int, ...], Fraction]]:
-    """First subset (size-major, then lexicographic) meeting the threshold.
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """First subset (size-major, then lexicographic) whose count meets the
+    threshold, as (S, c(S)).
 
-    Skips a prefix only when doubling its probability once per remaining pick
-    cannot reach the threshold; such prefixes provably contain no witness, so
-    the returned witness is the true first one.  Per size, a depth-first
-    loop over a stack of (prefix, first index its next pick may take) visits
-    prefixes in lexicographic order: their extensions are pushed in reverse.
+    At size s, c >= _count_threshold(threshold, d - s, strict) accepts a set
+    and keeps a shorter prefix: no extension counts more than its prefix.
+    Per size, a depth-first loop over a stack of (prefix, first index its
+    next pick may take) visits prefixes in lexicographic order.
     """
-    memo: dict[tuple[int, ...], Fraction] = {}  # each prefix is probed once
-
-    def accepts(p: Fraction) -> bool:
-        return p > threshold if strict else p >= threshold
-
+    memo: dict[tuple[int, ...], int] = {}  # each prefix is probed once
     for size in range(0, max_size + 1):
+        need = _count_threshold(threshold, d - size, strict)
         stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
         while stack:
             prefix, start = stack.pop()
-            p = memo.get(prefix)
-            if p is None:
-                p = memo[prefix] = prob_of(prefix)
+            c = memo.get(prefix)
+            if c is None:
+                c = memo[prefix] = count_of(prefix)
+            if c < need:
+                continue
             remaining = size - len(prefix)
             if not remaining:
-                if accepts(p):
-                    return prefix, p
-                continue
-            if not accepts(p * (1 << remaining)):
-                continue
+                return prefix, c
             stack += [
                 (prefix + (universe[j],), j + 1)
                 for j in reversed(range(start, len(universe) - remaining + 1))
@@ -293,7 +288,7 @@ def _table_witness(
     max_size: int,
     threshold: Fraction,
     strict: bool,
-) -> Optional[tuple[tuple[int, ...], Fraction]]:
+) -> Optional[tuple[tuple[int, ...], int]]:
     """_first_witness read off a coalition table over the first k variables
     (2^k entries, x1 the top bit) of a d-variable formula.
 
@@ -322,15 +317,16 @@ def _table_witness(
                 best = max(best, int(ranks[hit].max()))
         if best >= 0:
             witness = tuple(i for i in range(1, k + 1) if (best >> (k - i)) & 1)
-            return witness, Fraction(int(counts[best]), 1 << (d - size))
+            return witness, int(counts[best])
     return None
 
 
 def _witness_search(
     f: Formula, x: Assignment, target: int, width: int, enum_cap: int
-) -> Callable[[int, Fraction, bool], Optional[tuple[tuple[int, ...], Fraction]]]:
+) -> Callable[[int, Fraction, bool], Optional[tuple[tuple[int, ...], int]]]:
     """first(max_size, threshold, strict): the first subset S of x1..x_width
-    with P(f(y) = target | y_S = x_S) meeting the threshold, as (S, P).
+    with P(f(y) = target | y_S = x_S) meeting the threshold, as (S, c(S)),
+    c(S) = #{y : y_S = x_S, f(y) = target}.
 
     Formulas of d <= min(TABLE_CAP, enum_cap) variables build one coalition
     table and slice out the subsets of x1..x_width (ranks that are multiples
@@ -346,17 +342,20 @@ def _witness_search(
         )
     ev = ConditionalEvaluator(f, enum_cap)
 
-    def prob(indices: tuple[int, ...]) -> Fraction:
-        p1 = ev.satisfaction({i: x.bit(i) for i in indices})
-        return p1 if target == 1 else 1 - p1
+    def count_of(indices: tuple[int, ...]) -> int:
+        ones = ev.count({i: x.bit(i) for i in indices})
+        return ones if target == 1 else (1 << (d - len(indices))) - ones
 
     universe = tuple(range(1, width + 1))
     return lambda max_size, threshold, strict: _first_witness(
-        universe, max_size, prob, threshold, strict
+        universe, max_size, count_of, d, threshold, strict
     )
 
 
-def _check_search_cap(d: int, search_cap: int):
+def _check_search_cap(d: int, search_cap: int, k: Optional[int] = None):
+    """Refuse a k outside 1..d, then a d above the search cap."""
+    if k is not None and not 1 <= k <= d:
+        raise ValueError(f"k must lie in 1..{d}, got {k}")
     if d > search_cap:
         raise SearchCapExceeded(d, search_cap, "subset search")
 
@@ -375,21 +374,19 @@ def decide_relevant_input(
     is returned, so reports are reproducible.
     """
     delta = Fraction(delta)
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    _check_search_cap(f.arity, search_cap)
+    _check_search_cap(f.arity, search_cap, k)
     search = _witness_search(f, x, evaluate(f, x), f.arity, enum_cap)
     hit = search(k, delta, False)
     if hit is None:
         return RelevanceReport(Verdict.NO, None, "exact-search")
-    witness, p = hit
+    witness, count = hit
     return RelevanceReport(
         Verdict.YES,
         SubsetMask.from_indices(witness, f.arity),
         "exact-search",
-        probability=DyadicProb.from_fraction(p),
+        probability=DyadicProb(count, f.arity - len(witness)),
     )
 
 
@@ -605,9 +602,7 @@ def decide_gapped(
     delta, gamma = Fraction(delta), Fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive for the gapped problem")
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
-    _check_search_cap(f.arity, search_cap)
+    _check_search_cap(f.arity, search_cap, k)
     n = _sample_size(delta, gamma)
     universe = range(1, f.arity + 1)
     candidates = (c for size in range(k + 1) for c in combinations(universe, size))
@@ -696,14 +691,12 @@ def solve_emajsat(
 ) -> bool:
     """Does some assignment to the first k variables make a strict majority
     of completions satisfying?"""
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
-    _check_search_cap(f.arity, search_cap)
+    _check_search_cap(f.arity, search_cap, k)
     ev = ConditionalEvaluator(f, enum_cap)
-    half = Fraction(1, 2)
+    completions = 1 << (f.arity - k)
     for u_bits in range(1 << k):
         fixed = {i + 1: (u_bits >> i) & 1 for i in range(k)}
-        if ev.satisfaction(fixed) > half:
+        if 2 * ev.count(fixed) > completions:
             return True
     return False
 
@@ -716,9 +709,7 @@ def solve_ip1(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> bool:
     """Is there S within the first k variables with P(f | y_S = x_S) > 1/2?"""
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
-    _check_search_cap(f.arity, search_cap)
+    _check_search_cap(f.arity, search_cap, k)
     search = _witness_search(f, x, 1, k, enum_cap)
     return search(k, Fraction(1, 2), True) is not None
 
@@ -733,9 +724,7 @@ def solve_ip2(
 ) -> bool:
     """Is there S within the first k variables with P(f | y_S = x_S) >= delta?"""
     delta = Fraction(delta)
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must lie in 1..{f.arity}, got {k}")
-    _check_search_cap(f.arity, search_cap)
+    _check_search_cap(f.arity, search_cap, k)
     search = _witness_search(f, x, 1, k, enum_cap)
     return search(k, delta, False) is not None
 

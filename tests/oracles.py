@@ -1,66 +1,140 @@
 """Naive reference oracles for tests.
 
-Everything here enumerates assignments one at a time and never touches the
-bit-parallel tables, the independence decomposition, or any search pruning,
-so it stays an independent check of those paths.
+The oracles evaluate formulas with their own loop over the AST and never
+call boolrel's evaluators, bit-parallel tables, independence decomposition
+or search pruning, so they stay an independent check of those paths.  Each
+formula's truth table is built once (bit j is f at x_i = bit i-1 of j), and
+every count and conditional probability is a masked count over it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from boolrel.formula import (
+    And,
     Assignment,
+    Const,
     Formula,
     Node,
+    Not,
+    Or,
+    Var,
+    Xor,
     and_,
     const,
-    evaluate,
     not_,
     or_,
     var,
     xor,
 )
 
+_BLOCK_BITS = 12  # the table is built 2^12 positions at a time
+
+
+def _value(root: Node, column, full: int) -> int:
+    """root over a set of positions: bit p of the result is root's value at
+    position p, where column(i) gives x_i's bits and full has every
+    position's bit set."""
+    value: dict[Node, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in value:
+            stack.pop()
+        elif isinstance(node, Var):
+            value[node] = column(node.index)
+        elif isinstance(node, Const):
+            value[node] = full if node.value else 0
+        else:
+            if isinstance(node, Not):
+                kids = [node.child]
+            elif isinstance(node, Xor):
+                kids = [node.left, node.right]
+            else:
+                kids = list(node.children)
+            pending = [k for k in kids if k not in value]
+            if pending:
+                stack += pending
+                continue
+            vals = [value[k] for k in kids]
+            if isinstance(node, Not):
+                out = full ^ vals[0]
+            elif isinstance(node, And):
+                out = full
+                for v in vals:
+                    out &= v
+            elif isinstance(node, Or):
+                out = 0
+                for v in vals:
+                    out |= v
+            else:
+                out = vals[0] ^ vals[1]
+            value[node] = out
+    return value[root]
+
+
+def _pattern(i: int, size: int) -> int:
+    """Bits p < size (a power of two) with bit i-1 of p set: a run of
+    2^(i-1) zeros then 2^(i-1) ones, repeated."""
+    half = 1 << (i - 1)
+    if 2 * half > size:
+        return 0
+    repeat = ((1 << size) - 1) // ((1 << 2 * half) - 1)
+    return repeat * (((1 << half) - 1) << half)
+
+
+@lru_cache(maxsize=64)
+def _table(root: Node, d: int) -> int:
+    """The 2^d-bit truth table of root over x1..xd, one block at a time:
+    inside a block the low variables follow their pattern, and each high
+    variable is constant."""
+    low = min(d, _BLOCK_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    patterns = {i: _pattern(i, size) for i in range(1, low + 1)}
+    table = 0
+    for block in range(1 << (d - low)):
+        def column(i):
+            if i <= low:
+                return patterns[i]
+            return full if (block >> (i - 1 - low)) & 1 else 0
+        table |= _value(root, column, full) << (block * size)
+    return table
+
+
+def _agreeing(d: int, x: Assignment, s_indices) -> tuple[int, int]:
+    """(mask of the positions y with y_S = x_S, how many there are)."""
+    full = (1 << (1 << d)) - 1
+    mask = full
+    s = set(s_indices)
+    for i in s:
+        col = _pattern(i, 1 << d)
+        mask &= col if x.bit(i) else full ^ col
+    return mask, 1 << (d - len(s))
+
 
 def naive_count_ones(f: Formula) -> int:
-    """Satisfying-assignment count by per-assignment evaluation."""
-    return sum(
-        evaluate(f, Assignment.from_index(j, f.arity)) for j in range(1 << f.arity)
-    )
+    """Satisfying-assignment count, read off the truth table."""
+    return _table(f.root, f.arity).bit_count()
 
 
 def naive_probability(f: Formula) -> Fraction:
     return Fraction(naive_count_ones(f), 1 << f.arity)
 
 
-def naive_agreement(f: Formula, x: Assignment, s_indices) -> Fraction:
-    """P(f(y) = f(x) | y_S = x_S) by enumerating the free variables."""
-    s = set(s_indices)
-    free = [i for i in range(1, f.arity + 1) if i not in s]
-    target = evaluate(f, x)
-    matches = 0
-    for j in range(1 << len(free)):
-        y = x
-        for pos, i in enumerate(free):
-            y = y.with_bit(i, (j >> pos) & 1)
-        if evaluate(f, y) == target:
-            matches += 1
-    return Fraction(matches, 1 << len(free))
-
-
 def naive_conditional_satisfaction(f: Formula, x: Assignment, s_indices) -> Fraction:
-    """P(f(y) = 1 | y_S = x_S) by enumerating the free variables."""
-    s = set(s_indices)
-    free = [i for i in range(1, f.arity + 1) if i not in s]
-    hits = 0
-    for j in range(1 << len(free)):
-        y = x
-        for pos, i in enumerate(free):
-            y = y.with_bit(i, (j >> pos) & 1)
-        hits += evaluate(f, y)
-    return Fraction(hits, 1 << len(free))
+    """P(f(y) = 1 | y_S = x_S): the table's ones among the agreeing points."""
+    mask, points = _agreeing(f.arity, x, s_indices)
+    return Fraction((_table(f.root, f.arity) & mask).bit_count(), points)
+
+
+def naive_agreement(f: Formula, x: Assignment, s_indices) -> Fraction:
+    """P(f(y) = f(x) | y_S = x_S): f(x) is the table's bit at x."""
+    p1 = naive_conditional_satisfaction(f, x, s_indices)
+    return p1 if (_table(f.root, f.arity) >> x.bits) & 1 else 1 - p1
 
 
 def random_formula_node(rng: random.Random, d: int, budget: int) -> Node:
@@ -102,13 +176,16 @@ def naive_draw_successes(
 ) -> int:
     """Reference sampler: one getrandbits(len(free)) word per draw (none when
     nothing is free), bit j of the word sets free[j], and each draw is
-    evaluated on its own Assignment."""
+    evaluated on its own, as a single position.  Runs reach 130 free
+    variables, too wide for a table."""
+    slot = {i: j for j, i in enumerate(free)}
     successes = 0
     for _ in range(n):
         word = rng.getrandbits(len(free)) if free else 0
-        y = x
-        for j, i in enumerate(free):
-            y = y.with_bit(i, (word >> j) & 1)
-        if evaluate(f, y) == target:
+
+        def column(i):
+            return (word >> slot[i]) & 1 if i in slot else x.bit(i)
+
+        if _value(f.root, column, 1) == target:
             successes += 1
     return successes

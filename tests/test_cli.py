@@ -130,14 +130,19 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "content,reason",
-        [(b"[1, 2]", "JSON object"), (None, "Is a directory"), (b"\xff\xfe{", "UTF-8")],
-        ids=["list", "directory", "not-utf8"],
+        [(b"[1, 2]", "JSON object"), (None, "Is a directory"), (b"\xff\xfe{", "UTF-8"),
+         ("nul", "embedded null byte")],
+        ids=["list", "directory", "not-utf8", "nul-byte"],
     )
     def test_non_object_instance_file(self, tmp_path, content, reason):
-        # A directory and undecodable bytes once exited 70.
+        # A directory, undecodable bytes and a NUL byte in the path once
+        # exited 70.
         path = tmp_path / "instance.json"
         if content is None:
             path.mkdir()
+        elif content == "nul":
+            path = f"{path}\x00b"
+            reason = f"{path}: {reason}"
         else:
             path.write_bytes(content)
         for argv in (
@@ -566,6 +571,19 @@ class TestMiscCommands:
         assert code == EXIT_YES
         written = json.loads(out.read_text())
         assert written["result"]["probability"]["fraction"] == "1/2"
+
+    def test_output_path_with_nul_byte(self, capsys):
+        # open() raises ValueError, not OSError, on a NUL byte; main once
+        # let it escape.
+        from boolrel.cli import main
+
+        out = "report\x00.json"
+        assert main(["prob", "--formula", "x1", "--output", out]) == EXIT_USAGE
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["kind"] == "usage"
+        assert report["error"]["reason"] == (
+            f"cannot write the report to {out}: embedded null byte"
+        )
 
     def test_instance_file_with_set(self, tmp_path):
         inst = tmp_path / "query.json"

@@ -173,13 +173,20 @@ class TestConditionalAgreement:
 
 def top_split(f):
     """The decomposer's split of f's top node with nothing fixed, and the
-    parts' probabilities combined under its law (None: no split)."""
+    parts' counts combined under its law, as a probability (None: no
+    split)."""
     split = ConditionalEvaluator(f)._split(f.root, {})
     if split is None:
         return None, None
     law, parts = split
-    probs = [satisfaction_probability(Formula(p, f.arity)).as_fraction() for p in parts]
-    return split, counting._combine(law, probs)
+    widths = [len(p.support) for p in parts]
+    counts = [
+        int(satisfaction_probability(Formula(p, f.arity)).as_fraction() * (1 << w))
+        for p, w in zip(parts, widths)
+    ]
+    width = len(f.root.support)
+    combined = counting._combine(law, list(zip(counts, widths)), width)
+    return split, Fraction(combined, 1 << width)
 
 
 class TestDecomposition:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boolrel.counting as counting
 import boolrel.relevance as relevance
 from boolrel.formula import (
     DEFAULT_ENUM_CAP,
@@ -665,7 +666,12 @@ class TestRelevanceQuery:
 # --------------------------------------------------------------------------
 # The coalition-table path against the subset DFS and the naive oracles.
 
-DELTAS = (Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(7, 8), Fraction(1, 3))
+# 1/4, 3/16 and 1/256 land exactly on counts at several widths, so the
+# strict and non-strict tests part there, and pruning meets equality.
+DELTAS = (
+    Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(7, 8), Fraction(1, 3),
+    Fraction(1, 4), Fraction(3, 16), Fraction(1, 256),
+)
 
 
 @st.composite
@@ -696,12 +702,14 @@ def table_and_dfs(call):
 
 
 def naive_witness(f, x, target, width, max_size, threshold, strict):
+    """(S, c(S)) for the first S meeting the threshold, c(S) the number of
+    points agreeing with x on S where f equals target."""
     for size in range(max_size + 1):
         for combo in combinations(range(1, width + 1), size):
             p1 = naive_conditional_satisfaction(f, x, combo)
             p = p1 if target else 1 - p1
             if p > threshold if strict else p >= threshold:
-                return combo, p
+                return combo, int(p * (1 << (f.arity - size)))
     return None
 
 
@@ -757,7 +765,8 @@ class TestTableAndSearchPaths:
             )
             assert table == dfs
             hits.append(table)
-        assert hits == [((), Fraction(1, 2)), ((1,), Fraction(1))]
+        # Counts over the 2^(2 - |S|) points: 2 of 4 at {}, 2 of 2 at {1}.
+        assert hits == [((), 2), ((1,), 2)]
         assert solve_ip2(f, x, 1, Fraction(1, 2)) and solve_ip1(f, x, 1)
         assert not solve_ip1(Formula(var(2), 2), x, 1)
 
@@ -781,8 +790,8 @@ class TestTableAndSearchPaths:
         f = Formula(and_(var(2), var(3)), 4)
         x = Assignment.from_string("1111")
         search = relevance._witness_search(f, x, 1, 4, DEFAULT_ENUM_CAP)
-        assert search(4, Fraction(1, 2), False) == ((2,), Fraction(1, 2))
-        assert search(4, Fraction(1, 2), True) == ((2, 3), Fraction(1))
+        assert search(4, Fraction(1, 2), False) == ((2,), 4)  # 4 of 8
+        assert search(4, Fraction(1, 2), True) == ((2, 3), 4)  # 4 of 4
         assert naive_witness(f, x, 1, 4, 4, Fraction(1, 2), False)[0] == (2,)
 
     def test_odd_widths(self):
@@ -835,3 +844,26 @@ class TestTableAndSearchPaths:
         assert report.witness.indices() == (20,)
         with pytest.raises(AssertionError, match="subset DFS ran"):
             decide_relevant_input(f, x, 1, Fraction(1), enum_cap=19)
+
+
+def _names_used(code) -> set[str]:
+    """Global and attribute names a code object reads, nested code included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_used(const)
+    return names
+
+
+def test_exact_core_counts_without_fractions():
+    # The decomposer and both subset searches work on integer counts;
+    # Fraction stays at the public surface.
+    for fn in (
+        counting.ConditionalEvaluator._prob,
+        counting.ConditionalEvaluator._split,
+        counting._combine,
+        relevance._first_witness,
+        relevance._table_witness,
+        relevance._witness_search,
+    ):
+        assert "Fraction" not in _names_used(fn.__code__), fn.__qualname__
