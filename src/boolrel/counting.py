@@ -181,12 +181,15 @@ def _xor_leaves(node: Node) -> list[Node]:
     return leaves
 
 
-def _freshen_once(root: Node, groups: dict[int, frozenset[int]]):
+def _freshen(root: Node):
+    """Collapse every such XOR chain in one bottom-up pass; returns
+    (root', groups).  A collapsed chain becomes a variable that occurs once,
+    so its parent chain collapses in the same pass, and no other variable's
+    occurrence count changes: a second pass would find nothing."""
     occ = _occurrences(root)
-    changed = False
+    groups: dict[int, frozenset[int]] = {}
 
     def collapse(n: Node, kids: tuple[Node, ...]) -> Optional[Node]:
-        nonlocal changed
         if not isinstance(n, Xor):
             return None
         rebuilt = xor(*kids)
@@ -205,19 +208,9 @@ def _freshen_once(root: Node, groups: dict[int, frozenset[int]]):
         for i in idxs:
             merged |= groups.pop(i, frozenset((i,)))
         groups[rep] = frozenset(merged)
-        changed = True
         return var(rep)
 
-    return rewrite(root, collapse), changed
-
-
-def _freshen(root: Node):
-    """Fixpoint of the XOR-chain collapse; returns (root', groups)."""
-    groups: dict[int, frozenset[int]] = {}
-    while True:
-        root, changed = _freshen_once(root, groups)
-        if not changed:
-            return root, groups
+    return rewrite(root, collapse), groups
 
 
 # --------------------------------------------------------------------------

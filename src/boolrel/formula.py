@@ -642,39 +642,12 @@ def render(node: Node) -> str:
 
 
 def evaluate(f: Formula, a: Assignment) -> int:
-    """Evaluate under the standard Boolean semantics."""
+    """Evaluate under the standard Boolean semantics: one lane of width 1."""
     if a.length != f.arity:
         raise ArityMismatchError(
             f"assignment length {a.length} does not match arity {f.arity}"
         )
-    bits = a.bits
-    root = f.root
-    # An And (Or) root stops at its first operand that is 0 (1).
-    if isinstance(root, (And, Or)):
-        operands, decided = root.children, int(isinstance(root, Or))
-    else:
-        operands, decided = (root,), None
-    value: dict[Node, int] = {}
-    for op in operands:
-        for n in _post_order(op):
-            if n in value:
-                continue
-            if isinstance(n, Var):
-                out = (bits >> (n.index - 1)) & 1
-            elif isinstance(n, Const):
-                out = n.value
-            elif isinstance(n, Not):
-                out = 1 - value[n.child]
-            elif isinstance(n, And):
-                out = min(value[c] for c in n.children)
-            elif isinstance(n, Or):
-                out = max(value[c] for c in n.children)
-            else:
-                out = value[n.left] ^ value[n.right]
-            value[n] = out
-        if value[op] == decided:
-            return decided
-    return value[root] if decided is None else 1 - decided
+    return evaluate_lanes(f.root, lambda i: (a.bits >> (i - 1)) & 1, 1)
 
 
 @dataclass(frozen=True)
@@ -825,7 +798,8 @@ def from_truth_table(bits: int, arity: int) -> Formula:
 #   OR(a,b)    = 1 - relu(1 - a - b)        (one hidden unit, affine wrapper)
 #   XOR(a,b)   = (a | b) & !(a & b)         (expanded before compilation)
 # N-ary gates are folded to binary left-associatively.  All weights and
-# biases are small integers, so forward passes are exact in int64.
+# biases are small integers; forward passes multiply in float64, which is
+# exact while every partial sum stays below 2^53.
 
 
 @dataclass(frozen=True)
@@ -854,14 +828,29 @@ class ReluNetwork:
         return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Thresholded outputs for a batch of 0/1 rows, shape (n, input_dim)."""
-        z = np.asarray(inputs, dtype=np.int64).T
+        """Thresholded outputs for a batch of 0/1 rows, shape (n, input_dim).
+
+        Layers multiply in float64, so BLAS does the work (numpy has none for
+        int64).  Before each layer, max row sum of |w| * max |z| + max |b|
+        bounds every partial sum from the actual activations z; at 2^53 or
+        more a float64 sum could round, and the batch is refused with
+        ValueError.
+        """
+        z = np.asarray(inputs, dtype=np.float64).T
         if z.shape[0] != self.input_dim:
             raise ArityMismatchError(
                 f"inputs have {z.shape[0]} columns, network expects {self.input_dim}"
             )
         last = len(self.weights) - 1
         for t, (w, b) in enumerate(zip(self.weights, self.biases)):
+            rows = max((sum(map(abs, r)) for r in w.tolist()), default=0)
+            top = int(max(z.max(initial=0), -z.min(initial=0)))
+            reach = rows * top + max(map(abs, b.tolist()), default=0)
+            if reach >= 1 << 53:
+                raise ValueError(
+                    f"layer {t + 1} sums may reach {reach} >= 2^53, "
+                    "past exact float64 integers"
+                )
             z = w @ z + b[:, None]
             if t != last:
                 np.maximum(z, 0, out=z)

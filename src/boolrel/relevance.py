@@ -202,15 +202,14 @@ class RelevanceReport:
     """Outcome of a decision operation.
 
     Exact runs carry the witness's exact probability; sampled runs carry the
-    point estimate and sample count instead.  promise_dependent marks
-    verdicts that are only contracted under the gap promise.
+    number of samples per run instead.  promise_dependent marks verdicts
+    that are only contracted under the gap promise.
     """
 
     verdict: Verdict
     witness: Optional[SubsetMask]
     method: str
     probability: Optional[DyadicProb] = None
-    estimate: Optional[float] = None
     samples: Optional[int] = None
     promise_dependent: bool = False
 

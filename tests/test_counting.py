@@ -261,6 +261,27 @@ class TestXorFreshening:
         ev = ConditionalEvaluator(f)
         assert len(ev._groups) >= 1
 
+    def test_one_pass_reaches_the_fixpoint(self):
+        # Freshening collapses in a single pass: run again on its own output
+        # it finds nothing more to collapse.
+        rng = random.Random(17)
+        roots = [
+            random_formula(rng, rng.randint(8, 40), rng.randint(4, 30)).root
+            for _ in range(300)
+        ]
+        roots += [
+            self.xor_block_formula(d_payload, blocks)[0].root
+            for d_payload in range(2, 7)
+            for blocks in range(1, d_payload + 1)
+        ]
+        collapsed = 0
+        for root in roots:
+            once, groups = counting._freshen(root)
+            collapsed += bool(groups)
+            again, more = counting._freshen(once)
+            assert again is once and more == {}, formula.render(root)
+        assert collapsed >= 50
+
     def test_unconditional_matches_naive(self):
         for d_payload, blocks in [(2, 2), (3, 2), (3, 3)]:
             f, _ = self.xor_block_formula(d_payload, blocks)

@@ -17,6 +17,7 @@ from boolrel.formula import (
     FormulaSyntaxError,
     Not,
     Or,
+    ReluNetwork,
     SubsetMask,
     Var,
     and_,
@@ -37,7 +38,7 @@ from boolrel.formula import (
     var,
     xor,
 )
-from oracles import naive_count_ones, random_formula, random_formula_node
+from oracles import _table, naive_count_ones, random_formula, random_formula_node
 
 FIG1 = "(x1 & x2) | !x3"
 
@@ -244,19 +245,19 @@ class TestEvaluate:
         ],
     )
     def test_lanes_of_and_or_roots(self, text):
-        # An And/Or root stops once it is decided; the lanes still match
-        # evaluation at every position.
+        # An And/Or root stops once it is decided; eight lanes at once and
+        # one at a time (`evaluate`) still match the oracle's own table.
         f = parse(text, arity=3)
         lane = {i: sum(((j >> (i - 1)) & 1) << j for j in range(8)) for i in (1, 2, 3)}
-        want = sum(evaluate(f, Assignment(j, 3)) << j for j in range(8))
+        want = _table(f.root, 3)
         assert evaluate_lanes(f.root, lane.__getitem__, 0xFF) == want
         for j in range(8):
-            bits = {i: (j >> (i - 1)) & 1 for i in (1, 2, 3)}
-            assert evaluate_lanes(f.root, bits.__getitem__, 1) == (want >> j) & 1
+            assert evaluate(f, Assignment(j, 3)) == (want >> j) & 1
 
     def test_no_reference_cycles(self):
-        # Both evaluators free their memo by reference counting on return:
-        # nothing is left for the cyclic collector.
+        # The evaluator frees its memo by reference counting on return, at
+        # width 1 (`evaluate`) as at any other: nothing is left for the
+        # cyclic collector.
         f = parse(FIG1)
         a = Assignment.from_string("110")
         lane = {1: 0b1010, 2: 0b1100, 3: 0b1111}.__getitem__
@@ -543,6 +544,19 @@ class TestReluCompilation:
             d = rng.randint(1, 8)
             f = random_formula(rng, d, rng.randint(1, 16))
             self.exhaustive_agreement(f)
+
+    def test_forward_batch_refuses_sums_past_float_exactness(self):
+        # Layer 2 doubles the unit's 2^52: exact in int64, but a float64 sum
+        # of that size could round.  The bound reads the activations, so a
+        # batch that keeps the unit at 0 is still answered.
+        net = ReluNetwork(
+            (np.array([[1 << 52]]), np.array([[2]])),
+            (np.array([0]), np.array([0])),
+            1,
+        )
+        assert net.forward_batch(np.array([[0]])).tolist() == [0]
+        with pytest.raises(ValueError, match="2\\^53"):
+            net.forward_batch(np.array([[0], [1]]))
 
     def test_output_is_exact_bit(self):
         rng = random.Random(5)
