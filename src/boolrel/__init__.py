@@ -53,6 +53,7 @@ from .reductions import (
     verify_reduction,
 )
 from .relevance import (
+    DrawBudgetExceeded,
     RelevanceQuery,
     RelevanceReport,
     SampleCapExceeded,
@@ -109,6 +110,7 @@ __all__ = [
     "RelevanceReport",
     "SearchCapExceeded",
     "SampleCapExceeded",
+    "DrawBudgetExceeded",
     "is_delta_relevant",
     "decide_relevant_input",
     "solve_min_relevant_input",

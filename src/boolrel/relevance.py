@@ -19,12 +19,16 @@ when nothing is free; its lowest bit feeds the smallest free index.  A block
 of draws is taken with one ``getrandbits`` call that yields the same 32-bit
 outputs in the same order, so the transcript is unchanged.  The draws are
 bit-sliced (transposed so that bit s of a variable's lane is its value in
-draw s) and the formula is evaluated once over the lanes of a block of
-draws.  Sub-seeds for amplification rounds and per-candidate runs are
-derived by SHA-256 over "seed:tag" strings, so every transcript replays
-byte-identically from the run seed.  Each public sampled call checks delta
-and gamma and sizes its runs once (`_sample_size`), evaluates f(x) once, and
-draws every run, round or estimate through one primitive (`_run`).
+draw s) and the formula is evaluated once over the lanes of a pass.  Sub-seeds
+for amplification rounds and per-candidate runs are derived by SHA-256 over
+"seed:tag" strings, so every transcript replays byte-identically from the run
+seed.  Each public sampled call checks delta and gamma and sizes its runs once
+(`_sample_size`), evaluates f(x) once, and draws every run, round or estimate
+through one primitive (`_successes`).  It takes many runs at once, each with
+its own generator: the rounds of an amplified check, the estimates of a greedy
+step, or a chunk of decide_gapped's candidates share each pass.  The two
+sampled searches count their draws in candidate order and refuse
+(DrawBudgetExceeded) where the next candidate would pass DRAW_BUDGET.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -67,8 +71,10 @@ __all__ = [
     "AmplifiedOutcome",
     "SearchCapExceeded",
     "SampleCapExceeded",
+    "DrawBudgetExceeded",
     "DEFAULT_SEARCH_CAP",
     "DEFAULT_SAMPLE_CAP",
+    "DRAW_BUDGET",
     "sample_count",
     "is_delta_relevant",
     "decide_relevant_input",
@@ -85,6 +91,7 @@ __all__ = [
 
 DEFAULT_SEARCH_CAP = 20
 DEFAULT_SAMPLE_CAP = 1 << 20  # draws per run; gamma = 1/690 (n = 1046099) fits
+DRAW_BUDGET = 16 * DEFAULT_SAMPLE_CAP  # draws per sampled search, all runs
 _DRAW_BLOCK = 1 << 12  # draws per bit-parallel pass: bounds the lanes' memory
 
 
@@ -99,6 +106,18 @@ class SampleCapExceeded(EnumerationCapExceeded):
         self.gamma, self.cap = gamma, DEFAULT_SAMPLE_CAP
         RuntimeError.__init__(
             self, f"gamma = {gamma} needs more than {self.cap} draws per sampling run"
+        )
+
+
+class DrawBudgetExceeded(EnumerationCapExceeded):
+    """A sampled search refused: its runs would draw more than DRAW_BUDGET
+    samples in all."""
+
+    def __init__(self, what: str):
+        self.cap = DRAW_BUDGET
+        RuntimeError.__init__(
+            self,
+            f"{what} would draw more than the draw budget of {DRAW_BUDGET} samples",
         )
 
 
@@ -431,10 +450,15 @@ def sample_count(gamma: Fraction) -> int:
         precision *= 2
 
 
-def _sample_size(delta: Fraction, gamma: Fraction) -> int:
-    """n for the runs of one sampled call at (delta, gamma), after checking
-    both: sample_count(gamma), refused above DEFAULT_SAMPLE_CAP.  As ln 3 > 1,
-    n > 2 / gamma^2 refuses a tiny gamma before ln 3 is narrowed for it."""
+def _sample_size(
+    delta: Fraction, gamma: Fraction, rounds: int = 1
+) -> tuple[int, int]:
+    """(n, need) for the runs of one sampled call at (delta, gamma), after
+    checking both: n = sample_count(gamma), refused above DEFAULT_SAMPLE_CAP,
+    and a run of n draws answers Yes at need = ceil(n (delta - gamma/2))
+    successes or more.  As ln 3 > 1, n > 2 / gamma^2 refuses a tiny gamma
+    before ln 3 is narrowed for it.  The number of rounds per check is checked
+    last."""
     if gamma <= 0:
         raise ValueError("ungapped sampling is unsound: gamma must be positive")
     if not 0 < delta <= 1 or gamma >= delta:
@@ -445,7 +469,10 @@ def _sample_size(delta: Fraction, gamma: Fraction) -> int:
     n = sample_count(gamma)
     if n > DEFAULT_SAMPLE_CAP:
         raise SampleCapExceeded(gamma)
-    return n
+    if rounds < 1 or rounds % 2 == 0:
+        raise ValueError(f"rounds must be an odd positive integer, got {rounds}")
+    dn, dd = delta.numerator, delta.denominator
+    return n, -(-n * (2 * dn * b - a * dd) // (2 * dd * b))
 
 
 def _subseed(seed: int, tag: str) -> int:
@@ -469,62 +496,104 @@ class AmplifiedOutcome:
     samples_per_round: int
 
 
-def _draw_lanes(rng: random.Random, width: int, m: int) -> list[int]:
-    """m draws of rng.getrandbits(width), transposed: bit s of lane j is bit
-    j of draw s.
-
-    getrandbits(width) takes W = ceil(width / 32) 32-bit outputs, lowest word
-    first, and keeps the top bits of the last one; one getrandbits(32 W m)
-    call takes the same outputs in the same order and keeps them whole.
-    """
-    words = -(-width // 32)
-    raw = rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little")
-    draws = np.frombuffer(raw, "<u4").reshape(m, words).copy()
-    draws[:, -1] >>= 32 * words - width
-    bits = np.unpackbits(draws.view(np.uint8), axis=1, bitorder="little")[:, :width]
-    lanes = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in lanes]
-
-
-def _draw_successes(
+def _successes(
     f: Formula,
     x: Assignment,
-    free: tuple[int, ...],
+    jobs: list[tuple[tuple[int, ...], random.Random]],
     n: int,
-    rng: random.Random,
     target: int,
-) -> int:
-    """How many of n draws make f equal target.  Bit j of a draw sets
-    free[j], x sets the other variables; one bit-parallel pass per block."""
-    successes = 0
-    for start in range(0, n, _DRAW_BLOCK):
-        m = min(_DRAW_BLOCK, n - start)
-        full = (1 << m) - 1
-        lanes = dict(zip(free, _draw_lanes(rng, len(free), m))) if free else {}
-        ones = evaluate_lanes(
-            f.root, lambda i: lanes.get(i, full if x.bit(i) else 0), full
-        ).bit_count()
-        successes += ones if target else m - ones
-    return successes
+) -> list[int]:
+    """For each job (free, rng), how many of its n draws make f equal
+    target: bit j of a draw sets free[j], x sets the other variables.  Every
+    sampled call draws through here.
+
+    All jobs free the same number w of variables.  A pass takes a block of m
+    draws from each job of a group (at most _DRAW_BLOCK draws in all): one
+    rng.getrandbits(32 W m) call, W = ceil(w / 32), takes the 32-bit outputs
+    that m getrandbits(w) calls would, lowest word first, and a draw keeps
+    the top bits of its last word.  The blocks lie side by side in one lane
+    per variable (bit s of job g's segment is the variable in its draw s;
+    segments are padded to a byte edge), a variable x fixes in a job is
+    constant over that job's segment, and the formula is evaluated once per
+    pass.  Each job's successes are counted off its own segment.
+    """
+    d = f.arity
+    width = len(jobs[0][0]) if jobs else 0
+    words = -(-width // 32)
+    # Entry i is x_i (entry 0 is unused), so rows are variable indices.
+    x_bits = np.unpackbits(
+        np.frombuffer((x.bits << 1).to_bytes(d // 8 + 1, "little"), np.uint8),
+        count=d + 1,
+        bitorder="little",
+    )
+    m = min(n, _DRAW_BLOCK)
+    per_pass = max(1, _DRAW_BLOCK // m)
+    counts: list[int] = []
+    for first in range(0, len(jobs), per_pass):
+        frees, rngs = zip(*jobs[first : first + per_pass])
+        g = len(frees)
+        rows = np.array(frees, np.intp).reshape(g, width)
+        successes = [0] * g
+        for start in range(0, n, m):
+            size = min(m, n - start)
+            span = -(-size // 8)  # bytes per segment
+            stride = g * span  # bytes per lane
+            # The low `size` bits of each segment set.
+            full = ((1 << size) - 1) * ((1 << 8 * stride) - 1) // ((1 << 8 * span) - 1)
+            segments = np.frombuffer(full.to_bytes(stride, "little"), np.uint8)
+            # (variable, job, byte): x's value, then each job's draws.
+            lanes = np.multiply.outer(x_bits, segments).reshape(d + 1, g, span)
+            # With nothing free nothing is drawn: getrandbits(0) takes no output.
+            block = 4 * words * size  # bytes of one job's draws
+            raw = bytearray()
+            for rng in rngs:
+                raw += rng.getrandbits(8 * block).to_bytes(block, "little")
+            draws = np.frombuffer(raw, "<u4").reshape(g, size, words)
+            draws[..., words - 1 :] >>= 32 * words - width  # the last word, if any
+            bits = np.unpackbits(draws.view(np.uint8), axis=2, bitorder="little")
+            lanes[rows, np.arange(g)[:, None]] = np.packbits(
+                np.ascontiguousarray(bits[..., :width].transpose(0, 2, 1)),
+                axis=2,
+                bitorder="little",
+            )
+            packed = lanes.tobytes()
+
+            def lane(i: int) -> int:
+                return int.from_bytes(packed[i * stride : (i + 1) * stride], "little")
+
+            out = evaluate_lanes(f.root, lane, full).to_bytes(stride, "little")
+            for j in range(g):
+                hits = int.from_bytes(out[j * span : (j + 1) * span], "little")
+                successes[j] += hits.bit_count() if target else size - hits.bit_count()
+        counts += successes
+    return counts
 
 
 def _free(d: int, s: SubsetMask | Iterable[int]) -> tuple[int, ...]:
     """The variables of x1..xd outside S, ascending."""
-    fixed = set(s.indices() if isinstance(s, SubsetMask) else s)
-    return tuple(i for i in range(1, d + 1) if i not in fixed)
+    fixed = s.indices() if isinstance(s, SubsetMask) else s
+    return tuple(sorted(set(range(1, d + 1)).difference(fixed)))
 
 
-def _run(
+def _yes_rounds(
     f: Formula,
     x: Assignment,
-    free: tuple[int, ...],
+    checks: list[tuple[tuple[int, ...], int]],
     n: int,
     target: int,
-    seed: int,
-) -> int:
-    """One seeded run: how many of n draws over `free` (x fixing the rest)
-    make f equal target.  Every sampled call draws through here."""
-    return _draw_successes(f, x, free, n, random.Random(seed), target)
+    need: int,
+    rounds: int,
+) -> list[int]:
+    """For each amplified check (free, seed), how many of its rounds answer
+    Yes (at least `need` successes); round r draws at the sub-seed
+    "round-r".  All checks share one _successes call."""
+    jobs = [
+        (free, random.Random(_subseed(seed, f"round-{r}")))
+        for free, seed in checks
+        for r in range(rounds)
+    ]
+    yes = np.array(_successes(f, x, jobs, n, target)) >= need
+    return yes.reshape(-1, rounds).sum(axis=1).tolist()
 
 
 def sample_relevance(
@@ -540,12 +609,13 @@ def sample_relevance(
     Draws n = ceil(2 ln 3 / gamma^2) uniform assignments to the complement of
     S, estimates the agreement frequency xi, and answers No exactly when
     xi < delta - gamma/2 (ties answer Yes).  The threshold comparison is done
-    in exact rational arithmetic on the success count.
+    in exact integer arithmetic on the success count.
     """
     delta, gamma = Fraction(delta), Fraction(gamma)
-    n = _sample_size(delta, gamma)
-    successes = _run(f, x, _free(f.arity, s), n, evaluate(f, x), seed)
-    accept = Fraction(successes, n) >= delta - gamma / 2
+    n, need = _sample_size(delta, gamma)
+    job = (_free(f.arity, s), random.Random(seed))
+    (successes,) = _successes(f, x, [job], n, evaluate(f, x))
+    accept = successes >= need
     return SampleOutcome(
         verdict=Verdict.YES if accept else Verdict.NO,
         estimate=successes / n,
@@ -565,16 +635,10 @@ def amplified_sample_relevance(
 ) -> AmplifiedOutcome:
     """Majority vote over independent sampling rounds: round r is
     sample_relevance's run at the sub-seed "round-r"."""
-    if rounds < 1 or rounds % 2 == 0:
-        raise ValueError(f"rounds must be an odd positive integer, got {rounds}")
     delta, gamma = Fraction(delta), Fraction(gamma)
-    n = _sample_size(delta, gamma)
-    free, target = _free(f.arity, s), evaluate(f, x)
-    threshold = delta - gamma / 2
-    yes = sum(
-        Fraction(_run(f, x, free, n, target, _subseed(seed, f"round-{r}")), n)
-        >= threshold
-        for r in range(rounds)
+    n, need = _sample_size(delta, gamma, rounds)
+    (yes,) = _yes_rounds(
+        f, x, [(_free(f.arity, s), seed)], n, evaluate(f, x), need, rounds
     )
     verdict = Verdict.YES if 2 * yes > rounds else Verdict.NO
     return AmplifiedOutcome(verdict, yes, rounds, n)
@@ -597,27 +661,44 @@ def decide_gapped(
     none is even (delta-gamma)-relevant) each candidate check errs with
     probability at most 3^-Omega(rounds); outside the promise the verdict is
     not contracted, which the report flags.
+
+    Candidate S is amplified_sample_relevance's check at the sub-seed
+    "set-<S>".  Candidates of one size are checked in chunks of about one
+    bit-parallel pass; the candidates after the first accepted one in a chunk
+    are drawn for nothing, but never change the answer.  The search refuses
+    (DrawBudgetExceeded) at the first candidate whose draws would pass
+    DRAW_BUDGET, whatever the chunk size.
     """
     delta, gamma = Fraction(delta), Fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive for the gapped problem")
     _check_search_cap(f.arity, search_cap, k)
-    n = _sample_size(delta, gamma)
+    n, need = _sample_size(delta, gamma, rounds)
+    target = evaluate(f, x)
+    each, drawn = rounds * n, 0
+    chunk = max(1, _DRAW_BLOCK // each)
     universe = range(1, f.arity + 1)
-    candidates = (c for size in range(k + 1) for c in combinations(universe, size))
-    for subset in candidates:
-        tag = "set-" + ",".join(map(str, subset))
-        outcome = amplified_sample_relevance(
-            f, x, subset, delta, gamma, _subseed(seed, tag), rounds
-        )
-        if outcome.verdict is Verdict.YES:
-            return RelevanceReport(
-                Verdict.YES,
-                SubsetMask.from_indices(subset, f.arity),
-                "sampled-search",
-                samples=n,
-                promise_dependent=True,
-            )
+    for size in range(k + 1):
+        sets = combinations(universe, size)
+        while pulled := list(islice(sets, chunk)):
+            batch = pulled[: (DRAW_BUDGET - drawn) // each]  # those the budget pays for
+            drawn += len(batch) * each
+            checks = [
+                (_free(f.arity, c), _subseed(seed, "set-" + ",".join(map(str, c))))
+                for c in batch
+            ]
+            yes = _yes_rounds(f, x, checks, n, target, need, rounds)
+            for subset, votes in zip(batch, yes):
+                if 2 * votes > rounds:
+                    return RelevanceReport(
+                        Verdict.YES,
+                        SubsetMask.from_indices(subset, f.arity),
+                        "sampled-search",
+                        samples=n,
+                        promise_dependent=True,
+                    )
+            if len(batch) < len(pulled):
+                raise DrawBudgetExceeded("decide-gapped")
     return RelevanceReport(
         Verdict.NO, None, "sampled-search", samples=n, promise_dependent=True
     )
@@ -637,13 +718,16 @@ def greedy_min_relevant(
     Grows S by the variable with the best sampled agreement estimate and
     stops once the amplified check accepts; whenever the exact check is
     tractable the candidate must also verify as (delta-gamma)-relevant
-    exactly, so the returned set always does.
+    exactly, so the returned set always does.  A step's estimates share one
+    _successes call.  Refuses (DrawBudgetExceeded) before a check or a step
+    whose draws would pass DRAW_BUDGET.
     """
     delta, gamma = Fraction(delta), Fraction(gamma)
     d = f.arity
-    n = _sample_size(delta, gamma)
+    n, need = _sample_size(delta, gamma, rounds)
     target = evaluate(f, x)
     current: tuple[int, ...] = ()
+    drawn = 0
 
     def exact_ok(subset: tuple[int, ...]) -> bool:
         if d - len(subset) > enum_cap:
@@ -652,27 +736,29 @@ def greedy_min_relevant(
         return ok
 
     while True:
-        outcome = amplified_sample_relevance(
-            f,
-            x,
-            current,
-            delta,
-            gamma,
-            _subseed(seed, "accept-" + ",".join(map(str, current))),
-            rounds,
+        drawn += rounds * n
+        if drawn > DRAW_BUDGET:
+            raise DrawBudgetExceeded("greedy")
+        rest = _free(d, current)
+        tag = "accept-" + ",".join(map(str, current))
+        (yes,) = _yes_rounds(
+            f, x, [(rest, _subseed(seed, tag))], n, target, need, rounds
         )
-        if outcome.verdict is Verdict.YES and exact_ok(current):
+        if 2 * yes > rounds and exact_ok(current):
             return len(current), SubsetMask.from_indices(current, d)
         # The full set passes both checks (its runs draw nothing and
         # delta <= 1), so some variable is left to add.
-        rest = tuple(v for v in range(1, d + 1) if v not in current)
-        estimates = [
-            _run(
-                f, x, tuple(i for i in rest if i != v), n, target,
-                _subseed(seed, f"estimate-{len(current)}-{v}"),
+        drawn += len(rest) * n
+        if drawn > DRAW_BUDGET:
+            raise DrawBudgetExceeded("greedy")
+        jobs = [
+            (
+                rest[:j] + rest[j + 1 :],
+                random.Random(_subseed(seed, f"estimate-{len(current)}-{v}")),
             )
-            for v in rest
+            for j, v in enumerate(rest)
         ]
+        estimates = _successes(f, x, jobs, n, target)
         # index() finds the first of equal estimates: the smallest v.
         best = rest[estimates.index(max(estimates))]
         current = tuple(sorted(current + (best,)))

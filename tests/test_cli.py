@@ -874,6 +874,28 @@ class TestRefusedInputs:
         assert got == EXIT_CAP
         assert "draws per sampling run" in report["error"]["reason"]
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [("decide-gapped", ("--k", "10")), ("greedy", ())],
+        ids=["decide-gapped", "greedy"],
+    )
+    def test_parity_past_the_draw_budget(self, command, flags):
+        # A 20-variable parity at gamma = 1/600 (791,016 draws per run):
+        # each 15-round check draws 11.9M samples, so both searches refuse
+        # after the empty set's check, not after 10^13 draws.
+        parity = " ^ ".join(f"x{i}" for i in range(1, 21))
+        start = time.perf_counter()
+        code, report = invoke(
+            command, "--formula", parity, "--x", "0" * 20, *flags,
+            "--delta", "1", "--gamma", "1/600", "--rounds", "15", "--seed", "1",
+        )
+        assert code == EXIT_CAP
+        assert report["error"]["reason"] == (
+            f"{command} would draw more than the draw budget of "
+            f"{16 * (1 << 20)} samples"
+        )
+        assert time.perf_counter() - start < 60
+
     @pytest.mark.parametrize("command", ["decide-gapped", "greedy"])
     @pytest.mark.parametrize("rounds", ["2", "0", "-1"])
     def test_bad_rounds(self, command, rounds, tmp_path):

@@ -13,6 +13,7 @@ import boolrel.relevance as relevance
 from boolrel.formula import (
     DEFAULT_ENUM_CAP,
     FALSE,
+    EnumerationCapExceeded,
     Assignment,
     Formula,
     SubsetMask,
@@ -305,9 +306,9 @@ class TestBitSlicedSampler:
                 target = rng.randint(0, 1)
                 seed = rng.getrandbits(64)
                 fast, slow = random.Random(seed), random.Random(seed)
-                got = relevance._draw_successes(f, x, free, n, fast, target)
+                got = relevance._successes(f, x, [(free, fast)], n, target)
                 want = naive_draw_successes(f, x, free, n, slow, target)
-                assert got == want, (width, n)
+                assert got == [want], (width, n)
                 assert fast.getrandbits(32) == slow.getrandbits(32), (width, n)
 
     def test_blocks_of_draws(self):
@@ -317,9 +318,53 @@ class TestBitSlicedSampler:
         block = relevance._DRAW_BLOCK
         for n in (block - 1, block, block + 1, 2 * block + 5):
             fast, slow = random.Random(n), random.Random(n)
-            got = relevance._draw_successes(f, x, free, n, fast, 1)
-            assert got == naive_draw_successes(f, x, free, n, slow, 1)
+            got = relevance._successes(f, x, [(free, fast)], n, 1)
+            assert got == [naive_draw_successes(f, x, free, n, slow, 1)]
             assert fast.getrandbits(32) == slow.getrandbits(32)
+
+    def _check_jobs(self, f, x, frees, n, target, seed):
+        """One _successes call over jobs (free, rng), each against its own
+        reference run, with every rng left in its reference state."""
+        seeds = [_subseed(seed, f"job-{j}") for j in range(len(frees))]
+        fast = [random.Random(s) for s in seeds]
+        slow = [random.Random(s) for s in seeds]
+        got = relevance._successes(f, x, list(zip(frees, fast)), n, target)
+        want = [
+            naive_draw_successes(f, x, free, n, rng, target)
+            for free, rng in zip(frees, slow)
+        ]
+        assert got == want
+        assert [r.getrandbits(32) for r in fast] == [r.getrandbits(32) for r in slow]
+
+    def test_jobs_match_one_reference_run_each(self):
+        # Greedy's jobs free different sets of one size; rounds share one.
+        rng = random.Random(1907)
+        for width in (0, 1, 31, 32, 33, 63, 64, 65, 130):
+            f, x, free = _transcript_case(rng, width)
+            for n in (1, 9, 220):
+                target = rng.randint(0, 1)
+                others = [
+                    tuple(sorted(rng.sample(range(1, f.arity + 1), width)))
+                    for _ in range(4)
+                ]
+                cases = [[free] * 3, [free] + others]
+                for frees in cases:
+                    self._check_jobs(f, x, frees, n, target, rng.getrandbits(64))
+
+    def test_jobs_across_pass_edges(self):
+        # A pass holds at most _DRAW_BLOCK draws summed over its jobs: runs
+        # just under, at and over one pass, and jobs split into groups.
+        rng = random.Random(1908)
+        f, x, free = _transcript_case(rng, 9)
+        block = relevance._DRAW_BLOCK
+        d = f.arity
+        frees = [free] + [
+            tuple(sorted(rng.sample(range(1, d + 1), 9))) for _ in range(4)
+        ]
+        for n in (block // 5 - 1, block // 5, block // 5 + 1, block // 2 + 1):
+            self._check_jobs(f, x, frees, n, 1, n)
+        for n in (block - 1, block, block + 1, 2 * block + 5):
+            self._check_jobs(f, x, frees[:2], n, 0, n)
 
     def test_cap_sized_run(self):
         # gamma = 1/690 is the largest unit fraction within the cap.
@@ -492,8 +537,64 @@ def reference_greedy(f, x, delta, gamma, seed, rounds):
         current = tuple(sorted(current + (best,)))
 
 
+def reference_decide_gapped(f, x, k, delta, gamma, seed, rounds):
+    """decide_gapped rebuilt from public calls: the first set, in
+    size-then-lexicographic order, whose amplified check at the sub-seed
+    "set-<S>" accepts, or None."""
+    for size in range(k + 1):
+        for subset in combinations(range(1, f.arity + 1), size):
+            tag = "set-" + ",".join(map(str, subset))
+            out = amplified_sample_relevance(
+                f, x, subset, delta, gamma, _subseed(seed, tag), rounds
+            )
+            if out.verdict is Verdict.YES:
+                return subset
+    return None
+
+
+def _witness(report):
+    return report.witness.indices() if report.verdict is Verdict.YES else None
+
+
 class TestSampledLayer:
     """The sampled calls against each other and against public references."""
+
+    def test_decide_gapped_equals_public_reference(self):
+        rng = random.Random(1909)
+        for trial in range(30):
+            d = rng.randint(1, 7)
+            f = random_formula(rng, d, rng.randint(4, 14))
+            x = random_assignment(rng, d)
+            k = rng.randint(1, d)
+            delta = Fraction(rng.randint(12, 20), 20)
+            gamma = Fraction(1, rng.choice([5, 10]))
+            seed = rng.getrandbits(64)
+            got = _witness(decide_gapped(f, x, k, delta, gamma, seed, rounds=3))
+            want = reference_decide_gapped(f, x, k, delta, gamma, seed, 3)
+            assert got == want, (trial, str(f), str(x), k)
+
+    @pytest.mark.parametrize("block", [None, 2 * 165, 1 << 14])
+    def test_decide_gapped_witness_at_chunk_edges(self, monkeypatch, block):
+        # A chunk holds _DRAW_BLOCK // (rounds n) candidates of one size.
+        # x_j | (x_a & x_b & x_c) at all ones: only {x_j} of the sets of size
+        # <= 1 reaches 1 - gamma/2 (the others stay at or below 5/8).
+        if block is not None:
+            monkeypatch.setattr(relevance, "_DRAW_BLOCK", block)
+        delta, gamma, rounds = Fraction(1), Fraction(1, 5), 3
+        assert rounds * sample_count(gamma) == 165
+        chunk = max(1, relevance._DRAW_BLOCK // 165)
+        d = max(chunk, 4) + 3
+        x = Assignment.ones(d)
+        for j in sorted({1, (chunk + 1) // 2, chunk, chunk + 1, d}):
+            a, b, c = [v for v in (1, 2, 3, 4) if v != j][:3]
+            f = Formula(or_(var(j), and_(var(a), var(b), var(c))), d)
+            report = decide_gapped(f, x, 1, delta, gamma, j, rounds, search_cap=d)
+            assert _witness(report) == (j,)
+            assert reference_decide_gapped(f, x, 1, delta, gamma, j, rounds) == (j,)
+        parity = Formula(xor_all(var(i) for i in range(1, d + 1)), d)
+        report = decide_gapped(parity, x, 1, delta, gamma, 0, rounds, search_cap=d)
+        assert report.verdict is Verdict.NO
+        assert reference_decide_gapped(parity, x, 1, delta, gamma, 0, rounds) is None
 
     def test_greedy_equals_public_reference(self):
         rng = random.Random(1905)
@@ -520,39 +621,92 @@ class TestSampledLayer:
 
     def test_sample_count_once_per_call(self, monkeypatch):
         # n depends only on gamma: each public sampled call sizes its runs
-        # once, however many rounds or candidates it draws.
-        sized, checks = [], []
+        # exactly once, however many rounds or candidates it draws.
+        sized = []
         real_count = relevance.sample_count
-        real_amplified = relevance.amplified_sample_relevance
 
         def count(gamma):
             sized.append(gamma)
             return real_count(gamma)
 
-        def amplified(*args, **kwargs):
-            checks.append(args[2])
-            return real_amplified(*args, **kwargs)
-
         monkeypatch.setattr(relevance, "sample_count", count)
         delta, gamma = Fraction(3, 4), Fraction(1, 5)
-        sample_relevance(FIG1, X110, [1], delta, gamma, 1)
-        assert len(sized) == 1
-        sized.clear()
-        amplified_sample_relevance(FIG1, X110, [1], delta, gamma, 1, rounds=5)
-        assert len(sized) == 1
-        monkeypatch.setattr(relevance, "amplified_sample_relevance", amplified)
         f = parse("x1 ^ x2 ^ x3 ^ x4")
         x = Assignment.from_string("1010")
         for call in (
+            lambda: sample_relevance(FIG1, X110, [1], delta, gamma, 1),
+            lambda: amplified_sample_relevance(FIG1, X110, [1], delta, gamma, 1, 5),
             lambda: decide_gapped(f, x, 2, Fraction(9, 10), gamma, 3, rounds=5),
             lambda: greedy_min_relevant(f, x, Fraction(1), gamma, 3, rounds=5),
         ):
             sized.clear()
-            checks.clear()
             call()
-            assert len(checks) > 1
-            # One for the call itself, one per amplified check it runs.
-            assert len(sized) == 1 + len(checks)
+            assert len(sized) == 1
+
+
+class TestDrawBudget:
+    """The sampled searches refuse at the first candidate, in search order,
+    whose draws would pass the budget, and answer as before up to it."""
+
+    DELTA, GAMMA, ROUNDS = Fraction(1), Fraction(1, 5), 3  # 55 draws a run
+
+    @pytest.mark.parametrize("block", [None, 165, 4 * 165 + 1])
+    def test_decide_gapped_refuses_at_the_same_candidate(self, monkeypatch, block):
+        # Candidate c of the search (0-based) ends at (c + 1) * 165 draws.
+        if block is not None:
+            monkeypatch.setattr(relevance, "_DRAW_BLOCK", block)
+        d = 6
+        x = Assignment.ones(d)
+        parity = Formula(xor_all(var(i) for i in range(1, d + 1)), d)
+        args = (self.DELTA, self.GAMMA, 0, self.ROUNDS)
+        # The witness {x4} is candidate 4: it answers while the budget pays
+        # for 4 candidates past the first, and is refused one draw short.
+        planted = Formula(or_(var(4), and_(var(1), var(2), var(3))), d)
+        for budget, want in ((5 * 165, (4,)), (5 * 165 - 1, None)):
+            monkeypatch.setattr(relevance, "DRAW_BUDGET", budget)
+            if want is None:
+                with pytest.raises(relevance.DrawBudgetExceeded, match=str(budget)):
+                    decide_gapped(planted, x, 1, *args)
+            else:
+                assert _witness(decide_gapped(planted, x, 1, *args)) == want
+        # No: all 1 + 6 + 15 candidates of size <= 2 fit exactly, or refuse.
+        monkeypatch.setattr(relevance, "DRAW_BUDGET", 22 * 165)
+        assert decide_gapped(parity, x, 2, *args).verdict is Verdict.NO
+        monkeypatch.setattr(relevance, "DRAW_BUDGET", 22 * 165 - 1)
+        with pytest.raises(relevance.DrawBudgetExceeded):
+            decide_gapped(parity, x, 2, *args)
+
+    def test_greedy_refuses_past_the_budget(self, monkeypatch):
+        # On a 4-variable parity greedy runs 5 accept checks (165 draws
+        # each) and steps of 4, 3, 2 and 1 estimates (55 draws each).
+        f = parse("x1 ^ x2 ^ x3 ^ x4")
+        x = Assignment.from_string("1010")
+        args = (self.DELTA, self.GAMMA, 3, self.ROUNDS)
+        total = 5 * 165 + 10 * 55
+        monkeypatch.setattr(relevance, "DRAW_BUDGET", total)
+        k, s = greedy_min_relevant(f, x, *args)
+        assert (k, s.indices()) == (4, (1, 2, 3, 4))
+        for budget in (total - 1, 165 + 4 * 55 - 1, 164):
+            monkeypatch.setattr(relevance, "DRAW_BUDGET", budget)
+            with pytest.raises(relevance.DrawBudgetExceeded, match="greedy"):
+                greedy_min_relevant(f, x, *args)
+
+    def test_one_check_past_the_budget_draws_nothing(self, monkeypatch):
+        class NoDraws(random.Random):
+            def getrandbits(self, k):
+                raise AssertionError("drew past the draw budget")
+
+        monkeypatch.setattr(relevance, "random", SimpleNamespace(Random=NoDraws))
+        rounds = relevance.DRAW_BUDGET // 55 + 1  # odd; one check passes the budget
+        args = (self.DELTA, self.GAMMA, 1, rounds)
+        with pytest.raises(relevance.DrawBudgetExceeded):
+            decide_gapped(FIG1, X110, 1, *args)
+        with pytest.raises(relevance.DrawBudgetExceeded):
+            greedy_min_relevant(FIG1, X110, *args)
+
+    def test_budget_is_a_cap_refusal(self):
+        assert relevance.DRAW_BUDGET == 16 * DEFAULT_SAMPLE_CAP
+        assert issubclass(relevance.DrawBudgetExceeded, EnumerationCapExceeded)
 
 
 class TestOracles:
