@@ -62,7 +62,7 @@ inputs = np.array([[(j >> i) & 1 for i in range(3)] for j in range(8)], dtype=np
 outputs = net.forward_batch(inputs)
 rows = []
 for j in range(8):
-    a = Assignment.from_index(j, 3)
+    a = Assignment(j, 3)
     rows.append(f"  {a} -> net {int(outputs[j])}, formula {evaluate(f, a)}")
 print("\n".join(rows))
-print(f"agreement on all 8 inputs: {all(int(outputs[j]) == evaluate(f, Assignment.from_index(j, 3)) for j in range(8))}")
+print(f"agreement on all 8 inputs: {all(int(outputs[j]) == evaluate(f, Assignment(j, 3)) for j in range(8))}")

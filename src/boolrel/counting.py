@@ -20,13 +20,15 @@ Three exact devices are layered over bit-parallel enumeration:
   joint distributions but not the Boolean function itself, and therefore
   never leaves this module.
 
-Conditioning on y_S = x_S is handled without rebuilding ASTs: fixed variables
-are carried beside the nodes and resolved during enumeration.
+Conditioning on y_S = x_S is handled without rebuilding ASTs: a variable
+set is one int mask in the layout of `SubsetMask` (x_i = bit i-1), and the
+fixes are the pair (bits, mask), bits being `Assignment.bits`, read during
+enumeration.  A node's memo key is its fixed support and their bits.
 `ConditionalEvaluator._split` decides how one node splits (components, a
 plug, or none: enumerate), and `_prob` is one loop over an explicit stack
 that solves the parts and combines them with `_combine`, so the depth of a
 decomposition is bounded by memory, not by the recursion limit.  Queries go
-through `ConditionalEvaluator.count`, one entry of `coalition_counts`;
+through `ConditionalEvaluator.count(bits, mask)`, one entry of `coalition_counts`;
 `Fraction` and `DyadicProb` appear only at the public surface built on it.
 
 For formulas of at most TABLE_CAP variables, `coalition_counts` gives the
@@ -59,6 +61,7 @@ from .formula import (
     Xor,
     _BUILD,
     _LEAF_BITS,
+    _indices,
     _kids,
     _lane_blocks,
     _occurrences,
@@ -163,7 +166,7 @@ DyadicProb.ONE = DyadicProb(1, 0)
 # --------------------------------------------------------------------------
 # XOR freshening.  Collapses every XOR chain whose leaves are distinct
 # variables occurring exactly once in the whole formula into its
-# smallest-index leaf, and records the group of collapsed variables so that
+# smallest-index leaf, and records the mask of the collapsed variables so that
 # later conditioning can be translated (fix the representative only once all
 # group members are fixed; a partially fixed group stays a fair bit).
 
@@ -183,11 +186,12 @@ def _xor_leaves(node: Node) -> list[Node]:
 
 def _freshen(root: Node):
     """Collapse every such XOR chain in one bottom-up pass; returns
-    (root', groups).  A collapsed chain becomes a variable that occurs once,
+    (root', groups), groups mapping each representative to the mask of its
+    members.  A collapsed chain becomes a variable that occurs once,
     so its parent chain collapses in the same pass, and no other variable's
     occurrence count changes: a second pass would find nothing."""
     occ = _occurrences(root)
-    groups: dict[int, frozenset[int]] = {}
+    groups: dict[int, int] = {}
 
     def collapse(n: Node, kids: tuple[Node, ...]) -> Optional[Node]:
         if not isinstance(n, Xor):
@@ -204,10 +208,10 @@ def _freshen(root: Node):
         ):
             return rebuilt
         rep = min(idxs)
-        merged: set[int] = set()
+        merged = 0
         for i in idxs:
-            merged |= groups.pop(i, frozenset((i,)))
-        groups[rep] = frozenset(merged)
+            merged |= groups.pop(i, 1 << (i - 1))
+        groups[rep] = merged
         return var(rep)
 
     return rewrite(root, collapse), groups
@@ -217,9 +221,10 @@ def _freshen(root: Node):
 # Bit-parallel enumeration over the free variables of a node.
 
 
-def _masked_count(node: Node, free: list[int], fixed: dict[int, int]) -> int:
-    """#{assignments to `free` satisfying node}, the rest read from `fixed`."""
-    return sum(out.bit_count() for out in _lane_blocks(node, free, fixed))
+def _masked_count(node: Node, free: int, bits: int) -> int:
+    """#{assignments to the variables in mask `free` satisfying node}, the
+    rest read from `bits`."""
+    return sum(out.bit_count() for out in _lane_blocks(node, _indices(free), bits))
 
 
 def rank_sizes(k: int) -> np.ndarray:
@@ -266,9 +271,7 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
     counts = np.empty(1 << d, dtype=np.int32)
     # Bit j of a position is variable d - j; y = x there exactly when the
     # bit is set, so each variable's lane is XORed with the complement of x.
-    blocks = _lane_blocks(
-        f.root, list(range(d, 0, -1)), {i: 1 - x.bit(i) for i in range(1, d + 1)}
-    )
+    blocks = _lane_blocks(f.root, list(range(d, 0, -1)), x.bits ^ ((1 << d) - 1))
     for block, out in enumerate(blocks):
         if not value:
             out ^= full
@@ -315,10 +318,11 @@ def _combine(law: str, parts: Sequence[tuple[int, int]], width: int) -> int:
     return acc << rest
 
 
-def _component_groups(node: Node, fixed: dict[int, int]) -> list[Node]:
-    """Children of an n-ary operator clustered by shared free variables."""
+def _component_groups(node: Node, mask: int) -> list[Node]:
+    """Children of an n-ary operator clustered by shared free variables:
+    union-find over each child's free variables, so the work is linear in
+    them."""
     kids = _kids(node)
-    free_supports = [frozenset(v for v in c.support if v not in fixed) for c in kids]
     parent = list(range(len(kids)))
 
     def find(i):
@@ -327,15 +331,15 @@ def _component_groups(node: Node, fixed: dict[int, int]) -> list[Node]:
             i = parent[i]
         return i
 
-    seen: dict[int, int] = {}
-    for i, fs in enumerate(free_supports):
-        for v in fs:
-            if v in seen:
-                ri, rj = find(i), find(seen[v])
+    keep = ~mask
+    seen: dict[int, int] = {}  # each free variable's first child
+    for i, child in enumerate(kids):
+        for v in _indices(child.support & keep):
+            j = seen.setdefault(v, i)
+            if j != i:
+                ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
-            else:
-                seen[v] = i
     clusters: dict[int, list[Node]] = {}
     for i, child in enumerate(kids):
         clusters.setdefault(find(i), []).append(child)
@@ -356,65 +360,69 @@ class ConditionalEvaluator:
     def __init__(self, f: Formula, enum_cap: int = DEFAULT_ENUM_CAP):
         self.formula = f
         self.enum_cap = enum_cap
-        self.root, self._groups = _freshen(f.root)
-        self._member_to_rep: dict[int, int] = {}
-        for rep, members in self._groups.items():
-            for m in members:
-                self._member_to_rep[m] = rep
+        self.root, groups = _freshen(f.root)
+        # Each member of an XOR group -> the group's mask, whose lowest
+        # member is the representative; the groups are disjoint.
+        self._groups = {v: group for group in groups.values() for v in _indices(group)}
+        self._members = sum(groups.values())
         self._memo: dict = {}
         self._replaced: dict[tuple[Node, Node, int], Node] = {}
 
     # -- query surface ----------------------------------------------------
 
-    def count(self, fixed: Optional[dict[int, int]] = None) -> int:
-        """#{y in {0,1}^d : y_v = fixed[v] for each fixed v, f(y) = 1}.
+    def count(self, bits: int = 0, mask: int = 0) -> int:
+        """#{y in {0,1}^d : y_i = bit i-1 of `bits` for each i in `mask`,
+        f(y) = 1}.
 
-        A partly fixed XOR group is one fair bit of the freshened root, so
-        the root can have fewer than d - |fixed| free variables; each one
-        it lacks doubles the count."""
-        fixed = fixed or {}
-        count, width = self._prob(self.root, self._translate(fixed))
-        return count << (self.formula.arity - len(fixed) - width)
+        A fully fixed XOR group fixes its representative to the parity of
+        its members; a partly fixed one is one fair bit of the freshened
+        root, its representative free.  So the root can have fewer than
+        d - |mask| free variables; each one it lacks doubles the count."""
+        fixed = mask.bit_count()
+        touched = mask & self._members
+        while touched:  # each touched group once, found by its top fixed member
+            group = self._groups[touched.bit_length()]
+            touched &= ~group
+            rep = group & -group
+            if mask & group != group:
+                mask &= ~rep
+            elif (bits & group).bit_count() & 1:
+                bits |= rep
+            else:
+                bits &= ~rep
+        count, width = self._prob(self.root, bits, mask)
+        return count << (self.formula.arity - fixed - width)
 
     def satisfaction(self, fixed: Optional[dict[int, int]] = None) -> Fraction:
         """P(f(y) = 1 | y_v = fixed[v] for all fixed v)."""
         fixed = fixed or {}
-        return Fraction(self.count(fixed), 1 << (self.formula.arity - len(fixed)))
+        mask = SubsetMask.from_indices(fixed, self.formula.arity)
+        bits = 0
+        for v, b in fixed.items():
+            bits |= bool(b) << (v - 1)
+        free = self.formula.arity - mask.size
+        return Fraction(self.count(bits, mask.bits), 1 << free)
 
     def agreement(self, x: Assignment, s_indices: Iterable[int]) -> Fraction:
         """P(f(y) = f(x) | y_S = x_S)."""
         target = evaluate(self.formula, x)
-        fixed = {i: x.bit(i) for i in s_indices}
-        p1 = self.satisfaction(fixed)
+        mask = SubsetMask.from_indices(s_indices, x.length)
+        p1 = Fraction(self.count(x.bits, mask.bits), 1 << (x.length - mask.size))
         return p1 if target == 1 else 1 - p1
 
     # -- internals ----------------------------------------------------------
 
-    def _translate(self, fixed: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        partial: dict[int, dict[int, int]] = {}
-        for v, b in fixed.items():
-            rep = self._member_to_rep.get(v)
-            if rep is None:
-                out[v] = b
-            else:
-                partial.setdefault(rep, {})[v] = b
-        for rep, fixes in partial.items():
-            members = self._groups[rep]
-            if len(fixes) == len(members):
-                out[rep] = sum(fixes.values()) & 1  # the members' parity
-            # Partially fixed groups stay fair independent bits: no entry.
-        return out
-
-    def _prob(self, root: Node, fixed: dict[int, int]) -> tuple[int, int]:
-        """(models of root over its free variables under `fixed`, how many
-        variables are free), by one loop over an explicit stack.
+    def _prob(self, root: Node, bits: int, mask: int) -> tuple[int, int]:
+        """(models of root over its free variables, those outside `mask`,
+        with the fixed ones read from `bits`; how many are free), by one loop
+        over an explicit stack.
 
         A node that is constant, fully fixed, memoised or at most one block
         wide is counted at once; a wider one goes to `_split`, and its parts
         are pushed, first on top, above a frame that combines their counts.
         A node that does not split is enumerated, up to `enum_cap` variables.
-        The memo keeps counts alone: the key fixes the width.
+        The memo keeps counts alone, keyed by the node, its fixed support and
+        their bits: the key fixes the width.
         """
         value: dict[Node, tuple[int, int]] = {}
         stack: list = [root]
@@ -431,16 +439,18 @@ class ConditionalEvaluator:
                 value[top] = (top.value, 0)
                 continue
             supp = top.support
-            relevant = tuple(sorted((v, fixed[v]) for v in supp.intersection(fixed)))
-            free_count = len(supp) - len(relevant)
-            if free_count == 0:
-                value[top] = (evaluate_lanes(top, fixed.__getitem__, 1), 0)
+            fixed = supp & mask
+            free = supp ^ fixed
+            if not free:
+                got = evaluate_lanes(top, lambda i: (bits >> (i - 1)) & 1, 1)
+                value[top] = (got, 0)
                 continue
-            key = (top, relevant)
+            free_count = free.bit_count()
+            key = (top, fixed, bits & fixed)
             got = self._memo.get(key)
             if got is None:
                 if free_count > _LEAF_BITS:
-                    split = self._split(top, fixed)
+                    split = self._split(top, mask)
                     if split is not None:
                         law, parts = split
                         stack.append((top, key, law, parts, free_count))
@@ -450,15 +460,13 @@ class ConditionalEvaluator:
                         raise EnumerationCapExceeded(
                             free_count, self.enum_cap, "model counting"
                         )
-                free = sorted(v for v in supp if v not in fixed)
-                got = self._memo[key] = _masked_count(top, free, fixed)
+                got = self._memo[key] = _masked_count(top, free, bits)
             value[top] = (got, free_count)
         return value[root]
 
-    def _split(
-        self, node: Node, fixed: dict[int, int]
-    ) -> Optional[tuple[str, Sequence[Node]]]:
-        """How `node` splits under `fixed`, as (law, parts) for `_combine`.
+    def _split(self, node: Node, mask: int) -> Optional[tuple[str, Sequence[Node]]]:
+        """How `node` splits with the variables of `mask` fixed, as (law,
+        parts) for `_combine`.
 
         Either the independent components of an And/Or/Xor under its law,
         or ("plug", (t, node[t:=1], node[t:=0])) on the plug t that
@@ -466,10 +474,10 @@ class ConditionalEvaluator:
         """
         law = _LAWS.get(type(node))
         if law is not None:
-            groups = _component_groups(node, fixed)
+            groups = _component_groups(node, mask)
             if len(groups) > 1:
                 return law, groups
-        plug = self._find_plug(node, fixed)
+        plug = self._find_plug(node, mask)
         if plug is None:
             return None
         high, low = self._replace(node, plug, 1), self._replace(node, plug, 0)
@@ -484,7 +492,7 @@ class ConditionalEvaluator:
             self._replaced[key] = got
         return got
 
-    def _find_plug(self, node: Node, fixed: dict[int, int]) -> Optional[Node]:
+    def _find_plug(self, node: Node, mask: int) -> Optional[Node]:
         """Largest proper subtree whose free variables are private to it.
 
         t qualifies when all leaves of `node` that carry its free variables
@@ -494,21 +502,23 @@ class ConditionalEvaluator:
         wins over its descendants and a later sibling over an earlier one.
         """
         occ_root = _occurrences(node)
-        free_width = sum(1 for v in node.support if v not in fixed)
+        keep = ~mask
+        free_width = (node.support & keep).bit_count()
         leaves: dict[Node, int] = {}  # free-variable leaves below each node
         best: Optional[Node] = None
         best_size = 0
         for current in _order(node):
             if isinstance(current, Var):
-                leaves[current] = int(current.index not in fixed)
+                leaves[current] = (keep >> (current.index - 1)) & 1
                 continue
             below = leaves[current] = sum(leaves[c] for c in _kids(current))
-            free_t = [v for v in current.support if v not in fixed]
-            if not free_t or len(free_t) >= free_width:
+            free_t = current.support & keep
+            size = free_t.bit_count()
+            if not size or size >= free_width or size < best_size:
                 continue
-            if sum(occ_root[v] for v in free_t) == below and len(free_t) >= best_size:
+            if sum(occ_root[v] for v in _indices(free_t)) == below:
                 best = current
-                best_size = len(free_t)
+                best_size = size
         return best
 
 
@@ -530,11 +540,14 @@ def conditional_satisfaction_probability(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> DyadicProb:
     """Exact P(f(y) = 1 | y_S = x_S)."""
-    indices = s.indices() if isinstance(s, SubsetMask) else tuple(s)
-    _check_arities(f, x, indices)
-    fixed = {i: x.bit(i) for i in indices}
-    count = ConditionalEvaluator(f, enum_cap).count(fixed)
-    return DyadicProb(count, f.arity - len(fixed))
+    if x.length != f.arity:
+        raise ValueError(
+            f"assignment length {x.length} does not match arity {f.arity}"
+        )
+    indices = s.indices() if isinstance(s, SubsetMask) else s
+    mask = SubsetMask.from_indices(indices, f.arity)  # refuses indices past d
+    count = ConditionalEvaluator(f, enum_cap).count(x.bits, mask.bits)
+    return DyadicProb(count, f.arity - mask.size)
 
 
 def conditional_agreement_probability(
@@ -546,13 +559,3 @@ def conditional_agreement_probability(
     """Exact P(f(y) = f(x) | y_S = x_S), enumerating the free variables."""
     p1 = conditional_satisfaction_probability(f, x, s, enum_cap)
     return p1 if evaluate(f, x) == 1 else p1.complement()
-
-
-def _check_arities(f: Formula, x: Assignment, indices: tuple[int, ...]):
-    if x.length != f.arity:
-        raise ValueError(
-            f"assignment length {x.length} does not match arity {f.arity}"
-        )
-    for i in indices:
-        if not 1 <= i <= f.arity:
-            raise ValueError(f"subset index {i} out of range 1..{f.arity}")

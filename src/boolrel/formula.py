@@ -90,13 +90,24 @@ class ArityMismatchError(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """A request would enumerate more variables than the configured cap."""
+    """A request would enumerate more than the configured cap allows.
 
-    def __init__(self, needed: int, cap: int, what: str = "enumeration"):
-        super().__init__(
-            f"{what} over {needed} variables exceeds the cap of {cap}; "
-            f"raise the cap explicitly to proceed"
-        )
+    `unit` names what `needed` counts.  Where no CLI flag raises the cap,
+    `raisable` is False and the message does not ask for it.
+    """
+
+    def __init__(
+        self,
+        needed: int,
+        cap: int,
+        what: str = "enumeration",
+        unit: str = "variables",
+        raisable: bool = True,
+    ):
+        message = f"{what} over {needed} {unit} exceeds the cap of {cap}"
+        if raisable:
+            message += "; raise the cap explicitly to proceed"
+        super().__init__(message)
         self.needed = needed
         self.cap = cap
 
@@ -110,21 +121,20 @@ class EnumerationCapExceeded(RuntimeError):
 class Node:
     """Base of the AST nodes; each also carries facts about itself.
 
-    `support`, the set of variable indices below the node, is set when the
-    node is built.  `_order` (the proper descendants in post-order) is
-    filled in on first use.
+    `support`, the variables below the node as an int mask in the layout of
+    `SubsetMask` (x_i = bit i-1), is set when the node is built.  `_order`
+    (the proper descendants in post-order) is filled in on first use.
     """
 
     __slots__ = ("support", "_order")
 
     def __post_init__(self):
-        kids = _kids(self)
         if isinstance(self, Var):
-            supp = frozenset((self.index,))
-        elif len(kids) == 1:
-            supp = kids[0].support
+            supp = 1 << (self.index - 1)
         else:
-            supp = frozenset().union(*(c.support for c in kids))
+            supp = 0
+            for c in _kids(self):
+                supp |= c.support
         object.__setattr__(self, "support", supp)
         object.__setattr__(self, "_order", None)
 
@@ -304,14 +314,19 @@ def _order(root: Node) -> tuple[Node, ...]:
     return order
 
 
-def _post_order(root: Node) -> Iterator[Node]:
-    """Every node of `root` once, children before parents, `root` last."""
-    return chain(_order(root), (root,))
-
-
 def support(node: Node) -> frozenset[int]:
     """Set of variable indices occurring in the node."""
-    return node.support
+    return frozenset(_indices(node.support))
+
+
+def _indices(mask: int) -> list[int]:
+    """The variable indices of a mask (x_i = bit i-1), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def _occurrences(root: Node) -> dict[int, int]:
@@ -338,7 +353,7 @@ def rewrite(
     or None to rebuild it from `kids` (the node itself when none changed).
     """
     new: dict[Node, Node] = {}
-    for n in _post_order(root):
+    for n in chain(_order(root), (root,)):
         old = _kids(n)
         kids = tuple(new[c] for c in old)
         out = hook(n, kids)
@@ -391,11 +406,6 @@ class Assignment:
         return cls(int(text[::-1], 2) if text else 0, len(text))
 
     @classmethod
-    def from_index(cls, j: int, length: int) -> "Assignment":
-        """Assignment number j of the truth-table order (x_i = bit i-1 of j)."""
-        return cls(j, length)
-
-    @classmethod
     def zeros(cls, length: int) -> "Assignment":
         return cls(0, length)
 
@@ -407,13 +417,6 @@ class Assignment:
         if not 1 <= i <= self.length:
             raise IndexError(f"variable index {i} out of range 1..{self.length}")
         return (self.bits >> (i - 1)) & 1
-
-    def with_bit(self, i: int, value: int) -> "Assignment":
-        if not 1 <= i <= self.length:
-            raise IndexError(f"variable index {i} out of range 1..{self.length}")
-        mask = 1 << (i - 1)
-        bits = (self.bits | mask) if value else (self.bits & ~mask)
-        return Assignment(bits, self.length)
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
@@ -458,7 +461,7 @@ class SubsetMask:
         return 1 <= i <= self.length and bool((self.bits >> (i - 1)) & 1)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.length + 1) if (self.bits >> (i - 1)) & 1)
+        return tuple(_indices(self.bits))
 
     def add(self, i: int) -> "SubsetMask":
         if not 1 <= i <= self.length:
@@ -485,8 +488,7 @@ class Formula:
     arity: int
 
     def __post_init__(self):
-        supp = support(self.root)
-        top = max(supp) if supp else 0
+        top = self.root.support.bit_length()
         if self.arity < top:
             raise ValueError(
                 f"arity {self.arity} is below the largest variable index {top}"
@@ -494,10 +496,7 @@ class Formula:
 
     @classmethod
     def of(cls, root: Node, arity: Optional[int] = None) -> "Formula":
-        if arity is None:
-            supp = support(root)
-            arity = max(supp) if supp else 0
-        return cls(root, arity)
+        return cls(root, root.support.bit_length() if arity is None else arity)
 
     def __str__(self) -> str:
         return render(self.root)
@@ -694,7 +693,7 @@ def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
     k = 0
     wanted = ops[0] if ops else None
     value: dict[Node, int] = {}
-    for n in _order(node) if ops else _post_order(node):
+    for n in _order(node) if ops else chain(_order(node), (node,)):
         if isinstance(n, Var):
             out = lane(n.index)
         elif isinstance(n, Const):
@@ -727,25 +726,23 @@ def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
     return acc if ops else out
 
 
-def _lane_blocks(
-    node: Node, free: list[int], base: dict[int, int]
-) -> Iterator[int]:
+def _lane_blocks(node: Node, free: list[int], bits: int) -> Iterator[int]:
     """Packed values of `node` at every position p < 2^len(free), by block.
 
-    At position p, variable free[j] is bit j of p XOR base.get(free[j], 0);
-    every other variable v is base[v].  Blocks hold 2^_LEAF_BITS positions
-    (fewer when fewer variables are free), in order of p: free[:_LEAF_BITS]
-    vary inside a block as pattern lanes and the rest are constant lanes,
-    fixed per block.  Each block's lanes are freed before the next is built,
-    so memory is bounded by the block, not by 2^len(free).
+    At position p, variable free[j] is bit j of p XOR bit free[j]-1 of
+    `bits`; every other variable v is bit v-1 of `bits`.  Blocks hold
+    2^_LEAF_BITS positions (fewer when fewer variables are free), in order
+    of p: free[:_LEAF_BITS] vary inside a block as pattern lanes and the rest
+    are constant lanes, fixed per block.  Each block's lanes are freed before
+    the next is built, so memory is bounded by the block, not by 2^len(free).
     """
     low = min(len(free), _LEAF_BITS)
     size = 1 << low
     full = (1 << size) - 1
-    lanes = {v: full if b else 0 for v, b in base.items()}
+    lanes = {v: full if (bits >> (v - 1)) & 1 else 0 for v in _indices(node.support)}
     for j, v in enumerate(free[:low]):
         lanes[v] = _var_pattern(j + 1, size) ^ lanes.get(v, 0)
-    high = [(v, base.get(v, 0)) for v in free[low:]]
+    high = [(v, (bits >> (v - 1)) & 1) for v in free[low:]]
     for block in range(1 << len(high)):
         for j, (v, b) in enumerate(high):
             lanes[v] = full if ((block >> j) & 1) ^ b else 0
@@ -757,7 +754,7 @@ def table_bits(node: Node, arity: int) -> int:
     one block of positions at a time: bit j is the value at x_i = bit i-1
     of j."""
     nbytes = ((1 << min(arity, _LEAF_BITS)) + 7) // 8
-    blocks = _lane_blocks(node, list(range(1, arity + 1)), {})
+    blocks = _lane_blocks(node, list(range(1, arity + 1)), 0)
     data = b"".join([out.to_bytes(nbytes, "little") for out in blocks])
     return int.from_bytes(data, "little")
 

@@ -30,6 +30,7 @@ from .formula import (
     EnumerationCapExceeded,
     Formula,
     Node,
+    _indices,
     _lane_blocks,
     and_,
     compose_variables,
@@ -37,7 +38,6 @@ from .formula import (
     evaluate,
     or_,
     parse,
-    support,
     truth_table,  # unused here; perfbench/tracing.py wraps reductions.truth_table
     var,
     xor,
@@ -487,13 +487,6 @@ class ReductionCheck:
         }
 
 
-def _subset_budget(d: int, k: int) -> int:
-    total = 0
-    for size in range(0, k + 1):
-        total += math.comb(d, size)
-    return total
-
-
 def oracle_verdict(
     inst: ProblemInstance,
     enum_cap: int = 40,
@@ -503,19 +496,21 @@ def oracle_verdict(
     d = inst.f.arity
 
     def budget_check(universe: int, limit: int, what: str):
-        candidates = _subset_budget(universe, limit)
+        candidates = sum(math.comb(universe, size) for size in range(limit + 1))
         if candidates > search_budget:
-            raise EnumerationCapExceeded(candidates, search_budget, what)
+            raise EnumerationCapExceeded(
+                candidates, search_budget, what, "candidate subsets", raisable=False
+            )
 
     if inst.kind == "sat":
         if d > 26:
-            raise EnumerationCapExceeded(d, 26, "sat oracle")
+            raise EnumerationCapExceeded(d, 26, "sat oracle", raisable=False)
         # A model exists iff some block of the support's assignments has one.
-        blocks = _lane_blocks(inst.f.root, sorted(support(inst.f.root)), {})
+        blocks = _lane_blocks(inst.f.root, _indices(inst.f.root.support), 0)
         return Verdict.YES if any(blocks) else Verdict.NO
     if inst.kind == "emajsat":
         if inst.k > 24:
-            raise EnumerationCapExceeded(inst.k, 24, "emajsat oracle")
+            raise EnumerationCapExceeded(inst.k, 24, "emajsat oracle", raisable=False)
         yes = solve_emajsat(inst.f, inst.k, search_cap=d, enum_cap=enum_cap)
         return Verdict.YES if yes else Verdict.NO
     if inst.kind == "ip1":

@@ -256,35 +256,35 @@ def is_delta_relevant(
 def _first_witness(
     universe: tuple[int, ...],
     max_size: int,
-    count_of: Callable[[tuple[int, ...]], int],
+    count_of: Callable[[int], int],
     d: int,
     threshold: Fraction,
     strict: bool,
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """First subset (size-major, then lexicographic) whose count meets the
-    threshold, as (S, c(S)).
+    threshold, as (S, c(S)); count_of takes S as a mask (x_i = bit i-1).
 
     At size s, c >= _count_threshold(threshold, d - s, strict) accepts a set
     and keeps a shorter prefix: no extension counts more than its prefix.
-    Per size, a depth-first loop over a stack of (prefix, first index its
-    next pick may take) visits prefixes in lexicographic order.
+    Per size, a depth-first loop over a stack of (prefix, its mask, first
+    index its next pick may take) visits prefixes in lexicographic order.
     """
-    memo: dict[tuple[int, ...], int] = {}  # each prefix is probed once
+    memo: dict[int, int] = {}  # each prefix is probed once
     for size in range(0, max_size + 1):
         need = _count_threshold(threshold, d - size, strict)
-        stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
         while stack:
-            prefix, start = stack.pop()
-            c = memo.get(prefix)
+            prefix, mask, start = stack.pop()
+            c = memo.get(mask)
             if c is None:
-                c = memo[prefix] = count_of(prefix)
+                c = memo[mask] = count_of(mask)
             if c < need:
                 continue
             remaining = size - len(prefix)
             if not remaining:
                 return prefix, c
             stack += [
-                (prefix + (universe[j],), j + 1)
+                (prefix + (universe[j],), mask | 1 << (universe[j] - 1), j + 1)
                 for j in reversed(range(start, len(universe) - remaining + 1))
             ]
     return None
@@ -360,9 +360,9 @@ def _witness_search(
         )
     ev = ConditionalEvaluator(f, enum_cap)
 
-    def count_of(indices: tuple[int, ...]) -> int:
-        ones = ev.count({i: x.bit(i) for i in indices})
-        return ones if target == 1 else (1 << (d - len(indices))) - ones
+    def count_of(mask: int) -> int:
+        ones = ev.count(x.bits, mask)
+        return ones if target == 1 else (1 << (d - mask.bit_count())) - ones
 
     universe = tuple(range(1, width + 1))
     return lambda max_size, threshold, strict: _first_witness(
@@ -780,8 +780,7 @@ def solve_emajsat(
     ev = ConditionalEvaluator(f, enum_cap)
     completions = 1 << (f.arity - k)
     for u_bits in range(1 << k):
-        fixed = {i + 1: (u_bits >> i) & 1 for i in range(k)}
-        if 2 * ev.count(fixed) > completions:
+        if 2 * ev.count(u_bits, (1 << k) - 1) > completions:
             return True
     return False
 

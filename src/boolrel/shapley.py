@@ -84,8 +84,8 @@ def characteristic_value(
     if f.arity > enum_cap:
         raise EnumerationCapExceeded(f.arity, enum_cap, "characteristic value")
     ev = ConditionalEvaluator(f, max(enum_cap, DEFAULT_ENUM_CAP))
-    expectation = ev.satisfaction({})
-    conditional = ev.satisfaction({i: x.bit(i) for i in mask.indices()})
+    expectation = Fraction(ev.count(), 1 << f.arity)
+    conditional = Fraction(ev.count(x.bits, mask.bits), 1 << (f.arity - mask.size))
     return CharacteristicEval(
         subset=mask,
         value=conditional - expectation,
@@ -105,7 +105,9 @@ def shapley_values(f: Formula, x: Assignment) -> ShapleyVector:
     """
     d = f.arity
     if d > TABLE_CAP:
-        raise EnumerationCapExceeded(d, TABLE_CAP, "Shapley enumeration")
+        raise EnumerationCapExceeded(
+            d, TABLE_CAP, "Shapley enumeration", raisable=False
+        )
     if x.length != d:
         raise ValueError("assignment length does not match arity")
     counts = coalition_counts(f, x, 1)

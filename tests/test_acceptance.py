@@ -407,7 +407,7 @@ class TestCriterion8:
             )
             got = net.forward_batch(inputs)
             want = np.array(
-                [evaluate(f, Assignment.from_index(j, d)) for j in range(size)],
+                [evaluate(f, Assignment(j, d)) for j in range(size)],
                 dtype=np.int64,
             )
             if not np.array_equal(got, want):

@@ -281,8 +281,10 @@ class TestInternalErrors:
         assert run_script(script) == "0 200\n"
 
     def test_long_xor_chain_memory_held(self):
-        # What stays held is node facts, nearly all support sets (about 34
-        # MiB); occurrence counts cached on every node would add about 27.
+        # What stays held is node facts.  Supports are int masks, a few
+        # hundred KiB over 2400 variables (as sets they held about n^2/2
+        # entries, some 130 MiB); occurrence counts cached on every node
+        # would add about 27 MiB at 1200.
         script = (
             "import gc, sys, tracemalloc\n"
             "from boolrel.cli import run\n"
@@ -291,9 +293,11 @@ class TestInternalErrors:
             "gc.collect()\n"
             "print(code, tracemalloc.get_traced_memory()[0])\n"
         )
-        code, held = run_script(script, LONG_XOR_CHAIN).split()
-        assert code == "0"
-        assert int(held) < 45 << 20, int(held) / (1 << 20)
+        longer = " ^ ".join(f"x{i}" for i in range(1, 2401))
+        for chain, bound in ((LONG_XOR_CHAIN, 45 << 20), (longer, 8 << 20)):
+            code, held = run_script(script, chain).split()
+            assert code == "0"
+            assert int(held) < bound, int(held) / (1 << 20)
 
     def test_deep_formula_console_has_no_traceback(self):
         cmd = [sys.executable, "-m", "boolrel.cli", "prob", "--formula",
@@ -435,6 +439,22 @@ class TestReduceAndVerify:
         )
         code, _ = invoke("verify", "--source", str(a), "--reduced", str(b))
         assert code == EXIT_USAGE
+
+    def test_verify_refusal_names_candidate_subsets(self, tmp_path):
+        # The d = 2 inapproximability instance (m' = 65): the ip3 oracle's
+        # budget counts candidate subsets, and no verify flag raises it.
+        sat = tmp_path / "sat.json"
+        sat.write_text(json.dumps({"kind": "sat", "formula": "x1 | x2"}))
+        code, report = invoke("reduce", "sat-ip3", "--instance", str(sat),
+                              "--delta", "1/2", "--gamma", "1/4", "--m", "65")
+        assert code == EXIT_YES
+        ip3 = tmp_path / "ip3.json"
+        ip3.write_text(json.dumps(report["result"]["instance"]))
+        code, report = invoke("verify", "--source", str(sat), "--reduced", str(ip3))
+        assert code == EXIT_CAP == 65
+        reason = report["error"]["reason"]
+        assert "over 4722366482869473892185 candidate subsets" in reason
+        assert "raise the cap" not in reason
 
 
 def _reduce_refuses(argv, flags):

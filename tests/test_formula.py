@@ -389,7 +389,7 @@ class TestStructure:
 
     def test_support_is_set_when_built(self):
         node = or_(and_(var(4), var(7)), not_(var(2)))
-        assert node.support == {2, 4, 7}
+        assert node.support == (1 << 1) | (1 << 3) | (1 << 6)
         assert not_(node).support is node.support
 
     def test_order_lists_each_descendant_once_before_its_parents(self):
@@ -440,10 +440,6 @@ class TestAssignment:
         a = Assignment.from_string("110")
         assert (a.bit(1), a.bit(2), a.bit(3)) == (1, 1, 0)
         assert str(a) == "110"
-
-    def test_with_bit(self):
-        a = Assignment.zeros(4).with_bit(3, 1)
-        assert a.as_tuple() == (0, 0, 1, 0)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -498,7 +494,7 @@ class TestReluCompilation:
         )
         got = net.forward_batch(inputs)
         want = np.array(
-            [evaluate(f, Assignment.from_index(j, f.arity)) for j in range(size)],
+            [evaluate(f, Assignment(j, f.arity)) for j in range(size)],
             dtype=np.int64,
         )
         np.testing.assert_array_equal(got, want)
