@@ -33,7 +33,9 @@ through `ConditionalEvaluator.count(bits, mask)`, one entry of `coalition_counts
 
 For formulas of at most TABLE_CAP variables, `coalition_counts` gives the
 exact conditional count of every subset S at once: a superset-sum (fast
-zeta) transform over an integer table, O(d 2^d).
+zeta) transform over an integer table, O(d 2^d).  Popcounts of the evaluated
+words take its first five steps, and each later step runs in the narrowest
+lane that holds its sums (uint8, then uint16, then int32).
 """
 
 from __future__ import annotations
@@ -242,13 +244,14 @@ def _superset_sum(table: np.ndarray, bits: Iterable[int]) -> None:
         pairs[:, 0] += pairs[:, 1]
 
 
-# _BYTE_SUPERSETS[v] is the superset sum of byte v's 8 bits over 3 bit
-# positions: a lookup that unpacks a lane and does the first 3 steps at once.
-_BYTE_SUPERSETS = np.unpackbits(
-    np.arange(256, dtype=np.uint8), bitorder="little"
-).astype(np.int32)
-_superset_sum(_BYTE_SUPERSETS, range(3))
-_BYTE_SUPERSETS = _BYTE_SUPERSETS.reshape(256, 8)
+# _SUPERSETS[r] has bit t set iff t contains r (t, r < 32): the popcounts of
+# a 32-position word ANDed with them are its first five superset-sum steps.
+_SUPERSETS = np.array(
+    [sum(1 << t for t in range(32) if t & r == r) for r in range(32)], np.uint32
+)
+# The lane of each later sum step, up to the step where it stops: after s
+# steps no entry exceeds 2^s, so uint8 takes steps 5-6 and uint16 7-14.
+_LANES = ((np.uint8, 7), (np.uint16, 15), (np.int32, 31))
 
 
 def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
@@ -259,34 +262,37 @@ def coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
     rank.  y agrees with x on S exactly when S lies inside the set T where y
     and x agree, so c is the superset sum of h[T] = [f(y_T) = value], y_T
     being x with every variable outside T flipped.  h is evaluated in blocks
-    of 2^_LEAF_BITS positions (the top-rank variables fixed per block), each
-    block's byte lookups (the first 3 sum steps) are gathered straight into
-    the table, and the rest of the sum is taken in place, one variable at a
-    time.  int32 holds every count up to d = 30; callers cap d lower.
+    of 2^_LEAF_BITS positions (the top-rank variables fixed per block), and
+    each 32-position word's popcounts against _SUPERSETS (the first 5 sum
+    steps) go straight into a uint8 table.  The rest of the sum is taken in
+    place, one variable at a time, widening to uint16 before step 7 and to
+    int32 before step 15: a 6 MiB peak at d = 20, for a 4 MiB int32 result.
+    int32 holds every count up to d = 30; callers cap d lower.
     """
     d = f.arity
-    low = min(d, _LEAF_BITS)
-    size = 1 << low
-    full = (1 << size) - 1
-    counts = np.empty(1 << d, dtype=np.int32)
+    size = 1 << min(d, _LEAF_BITS)
+    flip = 0 if value else (1 << size) - 1
     # Bit j of a position is variable d - j; y = x there exactly when the
     # bit is set, so each variable's lane is XORed with the complement of x.
     blocks = _lane_blocks(f.root, list(range(d, 0, -1)), x.bits ^ ((1 << d) - 1))
-    for block, out in enumerate(blocks):
-        if not value:
-            out ^= full
-        packed = np.frombuffer(out.to_bytes((size + 7) // 8, "little"), np.uint8)
-        rows = counts[block * size : (block + 1) * size]
-        if size < 8:
-            # The byte's top bits are 0 here: they add nothing.
-            rows[:] = _BYTE_SUPERSETS[packed[0], :size]
-        else:
-            # Each byte's 8 entries go straight into the table; bytes are
-            # always in range, and mode "raise" would buffer the output.
-            out_rows = rows.reshape(-1, 8)
-            np.take(_BYTE_SUPERSETS, packed, axis=0, out=out_rows, mode="clip")
-    _superset_sum(counts, range(min(3, low), d))
-    return counts
+    blocks = (out ^ flip for out in blocks)
+    if size < 32:
+        # Blocks under one word are packed into one: 2^d positions in all.
+        blocks = [sum(out << (i * size) for i, out in enumerate(blocks))]
+        size = max(1 << d, 32)
+    n = size >> 5  # words per block
+    table = np.empty((max(1 << d, 32) >> 5, 32), dtype=np.uint8)
+    for i, out in enumerate(blocks):
+        words = np.frombuffer(out.to_bytes(n * 4, "little"), "<u4")
+        np.bitwise_count(words[:, None] & _SUPERSETS, out=table[i * n : (i + 1) * n])
+    table = table.reshape(-1)[: 1 << d]
+    step = 5
+    for lane, stop in _LANES:
+        # Rebinding frees the narrower table.
+        table = table.astype(lane, copy=False)
+        _superset_sum(table, range(step, min(stop, d)))
+        step = stop
+    return table
 
 
 # --------------------------------------------------------------------------

@@ -666,6 +666,7 @@ class TruthTable:
         return self.bits.bit_count()
 
 
+@functools.cache
 def _var_pattern(index: int, size: int) -> int:
     """Table of x_index over `size` assignments: period 2^index, high half set."""
     half = 1 << (index - 1)

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from boolrel.formula import (
     And,
     Assignment,
@@ -135,6 +137,27 @@ def naive_agreement(f: Formula, x: Assignment, s_indices) -> Fraction:
     """P(f(y) = f(x) | y_S = x_S): f(x) is the table's bit at x."""
     p1 = naive_conditional_satisfaction(f, x, s_indices)
     return p1 if (_table(f.root, f.arity) >> x.bits) & 1 else 1 - p1
+
+
+def naive_coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
+    """c[r] = #{y : y_S = x_S, f(y) = value} for every S of rank r (x1 the
+    top bit), as an int64 superset sum of the truth table: c[r] sums
+    [f(y) = value] over every y that agrees with x on some superset of S."""
+    d = f.arity
+    table = _table(f.root, d).to_bytes(((1 << d) + 7) // 8, "little")
+    values = np.unpackbits(np.frombuffer(table, np.uint8), bitorder="little")
+    # agree[y] is the rank of the set where y and x agree; ys doubles as
+    # the ranks below.
+    ys = np.arange(1 << d)
+    agree = np.zeros(1 << d, dtype=np.int64)
+    for i in range(1, d + 1):
+        agree |= (((ys >> (i - 1)) & 1) == x.bit(i)).astype(np.int64) << (d - i)
+    counts = np.zeros(1 << d, dtype=np.int64)
+    np.add.at(counts, agree, values[: 1 << d] == value)
+    for b in range(d):
+        lacking = ys[(ys >> b) & 1 == 0]
+        counts[lacking] += counts[lacking | (1 << b)]
+    return counts
 
 
 def random_formula_node(rng: random.Random, d: int, budget: int) -> Node:

@@ -34,6 +34,7 @@ from boolrel.formula import (
 )
 from oracles import (
     naive_agreement,
+    naive_coalition_counts,
     naive_conditional_satisfaction,
     naive_probability,
     random_assignment,
@@ -502,6 +503,50 @@ class TestCoalitionCounts:
             s = _subset_of_rank(r, d)
             want = 1 - ev.satisfaction({i: x.bit(i) for i in s})
             assert Fraction(int(c[r]), 1 << (d - len(s))) == want
+
+    @pytest.mark.parametrize("d", [0, 1, 5, 6, 7, 8, 14, 15, 16, 17, 20])
+    def test_widening_edges(self, d):
+        # The constant 1 puts 2^(d - |S|) in every entry, the largest count
+        # each sum step can reach, on both sides of each lane change.
+        f = Formula(const(1), d)
+        x = Assignment((1 << d) // 3, d)
+        sizes = np.array([bin(r).count("1") for r in range(1 << d)])
+        ones = coalition_counts(f, x, 1)
+        assert ones.dtype == np.int32
+        assert np.array_equal(ones, np.left_shift(1, d - sizes))
+        zeros = coalition_counts(f, x, 0)
+        assert zeros.dtype == np.int32 and not zeros.any()
+
+    def test_full_table_matches_oracle(self):
+        # d = 18 fixes two top-rank variables per block and runs the last
+        # three sum steps in int32.
+        rng = random.Random(83)
+        d = 18
+        f = random_formula(rng, d, 40)
+        x = random_assignment(rng, d)
+        for value in (0, 1):
+            want = naive_coalition_counts(f, x, value)
+            assert np.array_equal(coalition_counts(f, x, value), want)
+
+    def test_table_memory(self):
+        # The peak is the uint16 table and its int32 widening, 6 MiB at
+        # d = 20; a uint8 table kept alive past its widening reads 7 MiB.
+        rng = random.Random(84)
+        d = 20
+        f = random_formula(rng, d, 40)
+        x = random_assignment(rng, d)
+        formula._var_pattern.cache_clear()  # the cold pattern cache counts too
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            coalition_counts(f, x, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert peak <= 6.5 * (1 << 20), peak / (1 << 20)
 
 
 def _random_3cnf(rng: random.Random, d: int, clauses: int) -> list[list[int]]:
