@@ -23,7 +23,7 @@ eta, ell = Fraction(7, 10), 4
 g = build_pi(eta, ell)
 print(f"target eta = {eta}, accuracy 2^-{ell}")
 print(f"gadget: {g.pi} on {g.n} variables")
-print(f"probability {g.prob.exact_str()} = {float(g.prob):.6f}")
+print(f"probability {g.prob} = {float(g.prob):.6f}")
 print("iteration trace (conjunction width added, probability reached):")
 running = Fraction(0)
 for step in g.trace:

@@ -36,7 +36,7 @@ print("agreement probabilities P(f(y) = f(x) | y_S = x_S):")
 for indices in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
     s = SubsetMask.from_indices(indices, f.arity)
     p = conditional_agreement_probability(f, x, s)
-    print(f"  S = {str(s):9}  ->  {p.exact_str():7} = {float(p):.4f}")
+    print(f"  S = {str(s):9}  ->  {str(p):7} = {float(p):.4f}")
 print()
 
 # The decision problem: is there a delta-relevant set of size at most k?

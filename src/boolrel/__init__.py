@@ -13,7 +13,6 @@ across threads.
 
 from .counting import (
     ConditionalEvaluator,
-    DyadicProb,
     conditional_agreement_probability,
     conditional_satisfaction_probability,
     satisfaction_probability,
@@ -99,7 +98,6 @@ __all__ = [
     "from_truth_table",
     "compile_to_relu",
     # counting
-    "DyadicProb",
     "ConditionalEvaluator",
     "satisfaction_probability",
     "conditional_agreement_probability",

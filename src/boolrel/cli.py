@@ -31,11 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (
-    DyadicProb,
-    conditional_agreement_probability,
-    satisfaction_probability,
-)
+from .counting import conditional_agreement_probability, satisfaction_probability
 from .formula import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
@@ -222,10 +218,15 @@ def _refusing(fn, *args, **kwargs):
         raise UsageError(str(err)) from err
 
 
-def _prob_json(p: DyadicProb) -> dict:
+def _prob_json(p: Fraction) -> dict:
+    """A probability as its dyadic text, its reduced fraction and a float;
+    refuses a denominator that is not a power of two."""
+    exponent = p.denominator.bit_length() - 1
+    if p.denominator != 1 << exponent:
+        raise ValueError(f"{p} is not dyadic")
     return {
-        "dyadic": p.exact_str(),
-        "fraction": str(p.as_fraction()),
+        "dyadic": f"{p.numerator}/2^{exponent}",
+        "fraction": str(p),
         "float": float(p),
     }
 

@@ -29,7 +29,8 @@ plug, or none: enumerate), and `_prob` is one loop over an explicit stack
 that solves the parts and combines them with `_combine`, so the depth of a
 decomposition is bounded by memory, not by the recursion limit.  Queries go
 through `ConditionalEvaluator.count(bits, mask)`, one entry of `coalition_counts`;
-`Fraction` and `DyadicProb` appear only at the public surface built on it.
+`Fraction` appears only at the public surface built on it, where `_probability`
+turns a count over its free variables into one.
 
 For formulas of at most TABLE_CAP variables, `coalition_counts` gives the
 exact conditional count of every subset S at once: a superset-sum (fast
@@ -40,11 +41,8 @@ lane that holds its sums (uint8, then uint16, then int32).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from math import prod
-from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,7 +75,6 @@ from .formula import (
 )
 
 __all__ = [
-    "DyadicProb",
     "ConditionalEvaluator",
     "TABLE_CAP",
     "coalition_counts",
@@ -89,80 +86,6 @@ __all__ = [
 
 # Widest formula given an all-coalitions table: 2^20 int32 counts, 4 MiB.
 TABLE_CAP = 20
-
-
-# --------------------------------------------------------------------------
-# Dyadic probabilities.
-
-
-@total_ordering
-@dataclass(frozen=True)
-class DyadicProb:
-    """Exact probability numerator / 2^exponent, normalised, in [0, 1]."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        num, exp = self.numerator, self.exponent
-        if num < 0 or exp < 0 or num > (1 << exp):
-            raise ValueError(f"not a probability: {num}/2^{exp}")
-        while num and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicProb":
-        den = value.denominator
-        exp = den.bit_length() - 1
-        if 1 << exp != den:
-            raise ValueError(f"{value} is not dyadic")
-        return cls(value.numerator, exp)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def complement(self) -> "DyadicProb":
-        return DyadicProb((1 << self.exponent) - self.numerator, self.exponent)
-
-    def exact_str(self) -> str:
-        return f"{self.numerator}/2^{self.exponent}"
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.exponent)
-
-    def __str__(self) -> str:
-        return self.exact_str()
-
-    def _coerce(self, other) -> Optional[Fraction]:
-        if isinstance(other, DyadicProb):
-            return other.as_fraction()
-        if isinstance(other, Rational):
-            return Fraction(other)
-        return None
-
-    def __eq__(self, other) -> bool:
-        val = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return self.as_fraction() == val
-
-    def __lt__(self, other) -> bool:
-        val = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return self.as_fraction() < val
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-
-DyadicProb.ZERO = DyadicProb(0, 0)
-DyadicProb.ONE = DyadicProb(1, 0)
 
 
 # --------------------------------------------------------------------------
@@ -407,13 +330,13 @@ class ConditionalEvaluator:
         for v, b in fixed.items():
             bits |= bool(b) << (v - 1)
         free = self.formula.arity - mask.size
-        return Fraction(self.count(bits, mask.bits), 1 << free)
+        return _probability(self.count(bits, mask.bits), free)
 
     def agreement(self, x: Assignment, s_indices: Iterable[int]) -> Fraction:
         """P(f(y) = f(x) | y_S = x_S)."""
         target = evaluate(self.formula, x)
         mask = SubsetMask.from_indices(s_indices, x.length)
-        p1 = Fraction(self.count(x.bits, mask.bits), 1 << (x.length - mask.size))
+        p1 = _probability(self.count(x.bits, mask.bits), x.length - mask.size)
         return p1 if target == 1 else 1 - p1
 
     # -- internals ----------------------------------------------------------
@@ -532,11 +455,19 @@ class ConditionalEvaluator:
 # Public operations.
 
 
+def _probability(count: int, free: int) -> Fraction:
+    """count / 2^free, refused unless 0 <= count <= 2^free: every count of
+    models over `free` variables turns into a probability here."""
+    if not 0 <= count <= 1 << free:
+        raise ValueError(f"not a probability: {count}/2^{free}")
+    return Fraction(count, 1 << free)
+
+
 def satisfaction_probability(
     f: Formula, enum_cap: int = DEFAULT_ENUM_CAP
-) -> DyadicProb:
+) -> Fraction:
     """Exact P(f) = |{y : f(y)=1}| / 2^d."""
-    return DyadicProb(ConditionalEvaluator(f, enum_cap).count(), f.arity)
+    return _probability(ConditionalEvaluator(f, enum_cap).count(), f.arity)
 
 
 def conditional_satisfaction_probability(
@@ -544,16 +475,15 @@ def conditional_satisfaction_probability(
     x: Assignment,
     s: SubsetMask | Iterable[int],
     enum_cap: int = DEFAULT_ENUM_CAP,
-) -> DyadicProb:
+) -> Fraction:
     """Exact P(f(y) = 1 | y_S = x_S)."""
     if x.length != f.arity:
         raise ValueError(
             f"assignment length {x.length} does not match arity {f.arity}"
         )
-    indices = s.indices() if isinstance(s, SubsetMask) else s
-    mask = SubsetMask.from_indices(indices, f.arity)  # refuses indices past d
+    mask = SubsetMask.from_indices(s, f.arity)  # refuses indices past d
     count = ConditionalEvaluator(f, enum_cap).count(x.bits, mask.bits)
-    return DyadicProb(count, f.arity - mask.size)
+    return _probability(count, f.arity - mask.size)
 
 
 def conditional_agreement_probability(
@@ -561,7 +491,7 @@ def conditional_agreement_probability(
     x: Assignment,
     s: SubsetMask | Iterable[int],
     enum_cap: int = DEFAULT_ENUM_CAP,
-) -> DyadicProb:
+) -> Fraction:
     """Exact P(f(y) = f(x) | y_S = x_S), enumerating the free variables."""
     p1 = conditional_satisfaction_probability(f, x, s, enum_cap)
-    return p1 if evaluate(f, x) == 1 else p1.complement()
+    return p1 if evaluate(f, x) == 1 else 1 - p1

@@ -26,8 +26,18 @@ from fractions import Fraction
 from typing import Optional
 
 from ._intmath import floor_log2
-from .counting import DyadicProb, satisfaction_probability
-from .formula import Formula, Node, TRUE, and_, or_, shift_variables, var
+from .counting import satisfaction_probability
+from .formula import (
+    Assignment,
+    Formula,
+    Node,
+    TRUE,
+    and_,
+    evaluate,
+    or_,
+    shift_variables,
+    var,
+)
 
 __all__ = [
     "Gadget",
@@ -63,7 +73,7 @@ class Gadget:
 
     pi: Formula
     n: int
-    prob: DyadicProb
+    prob: Fraction
     trace: tuple[TraceStep, ...]
     kind: str
 
@@ -84,8 +94,6 @@ class Gadget:
 
 
 def _eval_uniform(f: Formula, bit: int) -> int:
-    from .formula import Assignment, evaluate
-
     a = Assignment.ones(f.arity) if bit else Assignment.zeros(f.arity)
     return evaluate(f, a)
 
@@ -127,15 +135,7 @@ def build_pi(eta: Fraction, ell: int) -> Gadget:
     tol = Fraction(1, 1 << ell)
 
     if eta <= tol:
-        pi = Formula(and_(*(var(i) for i in range(1, ell + 1))), ell)
-        prob = Fraction(1, 1 << ell)
-        return Gadget(
-            pi=pi,
-            n=ell,
-            prob=DyadicProb.from_fraction(prob),
-            trace=(TraceStep(ell, prob),),
-            kind="and_chain",
-        )
+        return _and_chain(ell)
 
     terms: list[Node] = []
     trace: list[TraceStep] = []
@@ -156,9 +156,21 @@ def build_pi(eta: Fraction, ell: int) -> Gadget:
     return Gadget(
         pi=pi,
         n=n,
-        prob=DyadicProb.from_fraction(p),
+        prob=p,
         trace=tuple(trace),
         kind="iterative",
+    )
+
+
+def _and_chain(width: int) -> Gadget:
+    """The single conjunction x1 & ... & x_width, of probability 2^-width."""
+    prob = Fraction(1, 1 << width)
+    return Gadget(
+        pi=Formula(and_(*(var(i) for i in range(1, width + 1))), width),
+        n=width,
+        prob=prob,
+        trace=(TraceStep(width, prob),),
+        kind="and_chain",
     )
 
 
@@ -214,14 +226,7 @@ def raise_probability_gadget(
     low = math.floor(delta1 * scale)
 
     if delta2 <= Fraction(low + 1, scale):
-        width = floor_log2(1 / (delta2 - delta1)) + 1
-        gadget = Gadget(
-            pi=Formula(and_(*(var(i) for i in range(1, width + 1))), width),
-            n=width,
-            prob=DyadicProb.from_fraction(Fraction(1, 1 << width)),
-            trace=(TraceStep(width, Fraction(1, 1 << width)),),
-            kind="and_chain",
-        )
+        gadget = _and_chain(floor_log2(1 / (delta2 - delta1)) + 1)
         if not gadget.prob < delta2 - delta1:
             raise GadgetConstructionError("narrow-case probability too large")
         return ProbabilityShift(gadget, "or", d, delta1, delta2, None)
@@ -231,10 +236,9 @@ def raise_probability_gadget(
     eta = (a + b) / 2
     ell = floor_log2(2 / (b - a)) + 1
     gadget = build_pi(eta, ell)
-    p = gadget.prob.as_fraction()
-    if not (a <= p < b):
+    if not (a <= gadget.prob < b):
         raise GadgetConstructionError(
-            f"raising gadget probability {p} escaped [{a}, {b})"
+            f"raising gadget probability {gadget.prob} escaped [{a}, {b})"
         )
     return ProbabilityShift(gadget, "or", d, delta1, delta2, (a, b))
 
@@ -260,7 +264,7 @@ def lower_probability_gadget(
         gadget = Gadget(
             pi=Formula(TRUE, 0),
             n=0,
-            prob=DyadicProb.ONE,
+            prob=Fraction(1),
             trace=(),
             kind="trivial_one",
         )
@@ -271,9 +275,8 @@ def lower_probability_gadget(
     eta = (a + b) / 2
     ell = floor_log2(2 / (b - a)) + 1
     gadget = build_pi(eta, ell)
-    p = gadget.prob.as_fraction()
-    if not (a < p <= b):
+    if not (a < gadget.prob <= b):
         raise GadgetConstructionError(
-            f"lowering gadget probability {p} escaped ({a}, {b}]"
+            f"lowering gadget probability {gadget.prob} escaped ({a}, {b}]"
         )
     return ProbabilityShift(gadget, "and", d, delta1, delta2, (a, b))

@@ -457,6 +457,9 @@ def inapprox_parameters(
 # Oracle-backed verification.
 
 
+_ORACLE_ENUM_CAP = 40  # free variables the oracles' counts may enumerate
+_ORACLE_BUDGET = 5_000_000  # candidate subsets a search oracle may face
+
 _EXPECTED_PAIRS = {
     ("emajsat", "ip1"),
     ("ip1", "ip2"),
@@ -487,19 +490,15 @@ class ReductionCheck:
         }
 
 
-def oracle_verdict(
-    inst: ProblemInstance,
-    enum_cap: int = 40,
-    search_budget: int = 5_000_000,
-) -> Verdict:
+def oracle_verdict(inst: ProblemInstance) -> Verdict:
     """Run the matching brute-force oracle; refuses oversized instances."""
     d = inst.f.arity
 
     def budget_check(universe: int, limit: int, what: str):
         candidates = sum(math.comb(universe, size) for size in range(limit + 1))
-        if candidates > search_budget:
+        if candidates > _ORACLE_BUDGET:
             raise EnumerationCapExceeded(
-                candidates, search_budget, what, "candidate subsets", raisable=False
+                candidates, _ORACLE_BUDGET, what, "candidate subsets", raisable=False
             )
 
     if inst.kind == "sat":
@@ -511,16 +510,18 @@ def oracle_verdict(
     if inst.kind == "emajsat":
         if inst.k > 24:
             raise EnumerationCapExceeded(inst.k, 24, "emajsat oracle", raisable=False)
-        yes = solve_emajsat(inst.f, inst.k, search_cap=d, enum_cap=enum_cap)
+        yes = solve_emajsat(inst.f, inst.k, search_cap=d, enum_cap=_ORACLE_ENUM_CAP)
         return Verdict.YES if yes else Verdict.NO
     if inst.kind == "ip1":
         budget_check(inst.k, inst.k, "ip1 oracle")
-        yes = solve_ip1(inst.f, inst.x, inst.k, search_cap=d, enum_cap=enum_cap)
+        yes = solve_ip1(
+            inst.f, inst.x, inst.k, search_cap=d, enum_cap=_ORACLE_ENUM_CAP
+        )
         return Verdict.YES if yes else Verdict.NO
     if inst.kind == "ip2":
         budget_check(inst.k, inst.k, "ip2 oracle")
         yes = solve_ip2(
-            inst.f, inst.x, inst.k, inst.delta, search_cap=d, enum_cap=enum_cap
+            inst.f, inst.x, inst.k, inst.delta, search_cap=d, enum_cap=_ORACLE_ENUM_CAP
         )
         return Verdict.YES if yes else Verdict.NO
     if inst.kind == "ip3":
@@ -533,22 +534,19 @@ def oracle_verdict(
             inst.delta,
             inst.gamma,
             search_cap=d,
-            enum_cap=enum_cap,
+            enum_cap=_ORACLE_ENUM_CAP,
         )
     if inst.kind == "relevant_input":
         budget_check(d, inst.k, "relevant-input oracle")
         report = decide_relevant_input(
-            inst.f, inst.x, inst.k, inst.delta, search_cap=d, enum_cap=enum_cap
+            inst.f, inst.x, inst.k, inst.delta, search_cap=d, enum_cap=_ORACLE_ENUM_CAP
         )
         return report.verdict
     raise ValueError(f"no oracle for kind {inst.kind!r}")
 
 
 def verify_reduction(
-    source: ProblemInstance,
-    reduced: ProblemInstance,
-    enum_cap: int = 40,
-    search_budget: int = 5_000_000,
+    source: ProblemInstance, reduced: ProblemInstance
 ) -> ReductionCheck:
     """Confirm Yes/No preservation by running both brute-force oracles.
 
@@ -559,8 +557,8 @@ def verify_reduction(
         raise ValueError(
             f"cannot verify a {source.kind} -> {reduced.kind} reduction"
         )
-    sv = oracle_verdict(source, enum_cap, search_budget)
-    rv = oracle_verdict(reduced, enum_cap, search_budget)
+    sv = oracle_verdict(source)
+    rv = oracle_verdict(reduced)
     if sv is Verdict.INDETERMINATE or rv is Verdict.INDETERMINATE:
         return ReductionCheck(
             sv, rv, None, True, "indeterminate verdict inside the promise gap"

@@ -47,7 +47,7 @@ from ._intmath import ln3_bounds
 from .counting import (
     TABLE_CAP,
     ConditionalEvaluator,
-    DyadicProb,
+    _probability,
     coalition_counts,
     conditional_agreement_probability,
     rank_sizes,
@@ -228,7 +228,7 @@ class RelevanceReport:
     verdict: Verdict
     witness: Optional[SubsetMask]
     method: str
-    probability: Optional[DyadicProb] = None
+    probability: Optional[Fraction] = None
     samples: Optional[int] = None
     promise_dependent: bool = False
 
@@ -247,7 +247,7 @@ def is_delta_relevant(
     s: SubsetMask | Iterable[int],
     delta: Fraction,
     enum_cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[bool, DyadicProb]:
+) -> tuple[bool, Fraction]:
     """Exact test of P(f(y) = f(x) | y_S = x_S) >= delta."""
     prob = conditional_agreement_probability(f, x, s, enum_cap)
     return prob >= Fraction(delta), prob
@@ -404,7 +404,7 @@ def decide_relevant_input(
         Verdict.YES,
         SubsetMask.from_indices(witness, f.arity),
         "exact-search",
-        probability=DyadicProb(count, f.arity - len(witness)),
+        probability=_probability(count, f.arity - len(witness)),
     )
 
 
@@ -570,9 +570,10 @@ def _successes(
 
 
 def _free(d: int, s: SubsetMask | Iterable[int]) -> tuple[int, ...]:
-    """The variables of x1..xd outside S, ascending."""
-    fixed = s.indices() if isinstance(s, SubsetMask) else s
-    return tuple(sorted(set(range(1, d + 1)).difference(fixed)))
+    """The variables of x1..xd outside S, ascending; refuses an index of S
+    outside 1..d."""
+    fixed = SubsetMask.from_indices(s, d).bits
+    return tuple(i for i in range(1, d + 1) if not fixed >> (i - 1) & 1)
 
 
 def _yes_rounds(

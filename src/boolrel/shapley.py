@@ -19,7 +19,7 @@ import numpy as np
 from .counting import (
     TABLE_CAP,
     ConditionalEvaluator,
-    DyadicProb,
+    _probability,
     coalition_counts,
     rank_sizes,
 )
@@ -51,12 +51,12 @@ class CharacteristicEval:
 
     subset: SubsetMask
     value: Fraction
-    expectation: DyadicProb
+    expectation: Fraction
     value_at_x: int
 
     def agreement(self) -> Fraction:
         """P(f(y) = f(x) | y_S = x_S) recovered from the identity."""
-        return 1 - abs(self.value + self.expectation.as_fraction() - self.value_at_x)
+        return 1 - abs(self.value + self.expectation - self.value_at_x)
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,12 @@ def characteristic_value(
     if f.arity > enum_cap:
         raise EnumerationCapExceeded(f.arity, enum_cap, "characteristic value")
     ev = ConditionalEvaluator(f, max(enum_cap, DEFAULT_ENUM_CAP))
-    expectation = Fraction(ev.count(), 1 << f.arity)
-    conditional = Fraction(ev.count(x.bits, mask.bits), 1 << (f.arity - mask.size))
+    expectation = _probability(ev.count(), f.arity)
+    conditional = _probability(ev.count(x.bits, mask.bits), f.arity - mask.size)
     return CharacteristicEval(
         subset=mask,
         value=conditional - expectation,
-        expectation=DyadicProb.from_fraction(expectation),
+        expectation=expectation,
         value_at_x=evaluate(f, x),
     )
 
@@ -127,7 +127,7 @@ def shapley_values(f: Formula, x: Assignment) -> ShapleyVector:
         by_size = np.add.reduceat(diff.ravel()[by_popcount], starts)
         total = sum(w * int(t) for w, t in zip(weight, by_size))
         values.append(Fraction(total, denominator))
-    grand = int(counts[-1]) - Fraction(int(counts[0]), 1 << d)
+    grand = int(counts[-1]) - _probability(int(counts[0]), d)
     return ShapleyVector(tuple(values), grand_value=grand)
 
 
@@ -142,7 +142,4 @@ def relevance_from_characteristic(
 
     Contracted to agree with is_delta_relevant on every input.
     """
-    delta = Fraction(delta)
-    ce = characteristic_value(f, x, s, enum_cap)
-    deviation = abs(ce.value + ce.expectation.as_fraction() - ce.value_at_x)
-    return deviation <= 1 - delta
+    return characteristic_value(f, x, s, enum_cap).agreement() >= Fraction(delta)

@@ -73,7 +73,7 @@ class TestCriterion1:
                     delta = rng.choice(deltas)
                     got_verdict, got_prob = is_delta_relevant(f, x, combo, delta)
                     checked += 1
-                    if got_prob.as_fraction() != want or got_verdict != (
+                    if got_prob != want or got_verdict != (
                         want >= delta
                     ):
                         mismatches += 1
@@ -98,7 +98,7 @@ class TestCriterion2:
             else:
                 eta = Fraction(rng.randint(1, 1 << 20), 1 << 20)
             g = build_pi(eta, ell)
-            if abs(eta - g.prob.as_fraction()) > Fraction(1, 1 << ell):
+            if abs(eta - g.prob) > Fraction(1, 1 << ell):
                 failures.append((eta, ell, "accuracy"))
             if g.n > ell * (ell + 3) // 2:
                 failures.append((eta, ell, "size"))
@@ -116,11 +116,11 @@ class TestCriterion2:
                     gap_prev, p_prev = gap, step.prob
             if g.n <= 26:
                 brute = Fraction(truth_table(g.pi).ones(), 1 << g.n)
-                if brute != g.prob.as_fraction():
+                if brute != g.prob:
                     failures.append((eta, ell, "brute-force"))
             else:
-                decomposed = satisfaction_probability(g.pi).as_fraction()
-                if decomposed != g.prob.as_fraction():
+                decomposed = satisfaction_probability(g.pi)
+                if decomposed != g.prob:
                     failures.append((eta, ell, "decomposition"))
         report_line(
             2,
@@ -152,7 +152,7 @@ class TestCriterion3:
         bad = 0
         total = 0
         for f in self.formulas():
-            p = satisfaction_probability(f).as_fraction()
+            p = satisfaction_probability(f)
             for d1, d2 in self.RAISE_PAIRS:
                 key = (f.arity, d1, d2)
                 if key not in raise_shifts:
@@ -282,7 +282,7 @@ class TestCriterion5:
             else:
                 eta = Fraction(105 + rng.randint(0, 485), 1000)  # 0.105..0.59
             g = build_pi(eta, 10)
-            p = g.prob.as_fraction()
+            p = g.prob
             if upper and p < self.DELTA + Fraction(1, 20):
                 continue
             if not upper and p > self.DELTA - self.GAMMA - Fraction(1, 20):

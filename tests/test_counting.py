@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import boolrel.counting as counting
 import boolrel.formula as formula
+from boolrel.cli import _prob_json
 from boolrel.counting import (
     ConditionalEvaluator,
-    DyadicProb,
+    _probability,
     conditional_agreement_probability,
     conditional_satisfaction_probability,
     coalition_counts,
@@ -51,35 +52,40 @@ def _shrink_leaf(monkeypatch, bits: int):
     monkeypatch.setattr(counting, "_LEAF_BITS", bits)
 
 
-class TestDyadicProb:
+class TestProbability:
     def test_normalisation(self):
-        p = DyadicProb(4, 3)
-        assert (p.numerator, p.exponent) == (1, 1)
-        assert p.exact_str() == "1/2^1"
+        assert _prob_json(_probability(4, 3)) == {
+            "dyadic": "1/2^1",
+            "fraction": "1/2",
+            "float": 0.5,
+        }
+        assert _prob_json(_probability(0, 3))["dyadic"] == "0/2^0"
+        assert _prob_json(_probability(8, 3))["dyadic"] == "1/2^0"
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            DyadicProb(9, 3)
-        with pytest.raises(ValueError):
-            DyadicProb(-1, 0)
+        with pytest.raises(ValueError, match=r"^not a probability: 9/2\^3$"):
+            _probability(9, 3)
+        with pytest.raises(ValueError, match=r"^not a probability: -1/2\^0$"):
+            _probability(-1, 0)
 
-    def test_exact_comparisons(self):
-        p = DyadicProb(3, 2)
-        assert p == Fraction(3, 4)
-        assert p >= Fraction(3, 4)
-        assert not (p >= Fraction(4, 5))
-        assert p < 1
-        assert p > Fraction(1, 2)
-
-    def test_complement(self):
-        assert DyadicProb(5, 3).complement() == Fraction(3, 8)
-
-    def test_from_fraction_rejects_non_dyadic(self):
-        with pytest.raises(ValueError):
-            DyadicProb.from_fraction(Fraction(1, 3))
+    def test_rejects_non_dyadic(self):
+        with pytest.raises(ValueError, match="not dyadic"):
+            _prob_json(Fraction(1, 3))
 
     def test_float(self):
-        assert float(DyadicProb(5, 3)) == 0.625
+        assert _prob_json(Fraction(5, 8))["float"] == 0.625
+
+    def test_public_probabilities_are_fractions(self):
+        x = Assignment.from_string("110")
+        ev = ConditionalEvaluator(FIG1)
+        for p in (
+            satisfaction_probability(FIG1),
+            conditional_satisfaction_probability(FIG1, x, [3]),
+            conditional_agreement_probability(FIG1, Assignment.from_string("001"), [3]),
+            ev.satisfaction({3: 1}),
+            ev.agreement(x, [1]),
+        ):
+            assert type(p) is Fraction
 
 
 class TestSatisfactionProbability:
@@ -97,7 +103,7 @@ class TestSatisfactionProbability:
         for _ in range(300):
             d = rng.randint(1, 12)
             f = random_formula(rng, d, rng.randint(1, 18))
-            assert satisfaction_probability(f).as_fraction() == naive_probability(f)
+            assert satisfaction_probability(f) == naive_probability(f)
 
     def test_cap_refusal(self):
         # A full-support XOR of 30 variables collapses by freshening, so feed
@@ -136,12 +142,12 @@ class TestConditionalAgreement:
             d = rng.randint(1, 8)
             f = random_formula(rng, d, 12)
             x = random_assignment(rng, d)
-            p = satisfaction_probability(f).as_fraction()
+            p = satisfaction_probability(f)
             agree = conditional_agreement_probability(f, x, SubsetMask.empty(d))
             from boolrel.formula import evaluate
 
             want = p if evaluate(f, x) == 1 else 1 - p
-            assert agree.as_fraction() == want
+            assert agree == want
 
     def test_matches_naive_on_random_instances(self):
         rng = random.Random(12)
@@ -151,7 +157,7 @@ class TestConditionalAgreement:
             x = random_assignment(rng, d)
             size = rng.randint(0, d)
             s = sorted(rng.sample(range(1, d + 1), size))
-            got = conditional_agreement_probability(f, x, s).as_fraction()
+            got = conditional_agreement_probability(f, x, s)
             assert got == naive_agreement(f, x, s)
 
     def test_conditional_satisfaction_matches_naive(self):
@@ -162,7 +168,7 @@ class TestConditionalAgreement:
             x = random_assignment(rng, d)
             size = rng.randint(0, d)
             s = sorted(rng.sample(range(1, d + 1), size))
-            got = conditional_satisfaction_probability(f, x, s).as_fraction()
+            got = conditional_satisfaction_probability(f, x, s)
             assert got == naive_conditional_satisfaction(f, x, s)
 
     def test_arity_checks(self):
@@ -185,7 +191,7 @@ def top_split(f):
     law, parts = split
     widths = [p.support.bit_count() for p in parts]
     counts = [
-        int(satisfaction_probability(Formula(p, f.arity)).as_fraction() * (1 << w))
+        int(satisfaction_probability(Formula(p, f.arity)) * (1 << w))
         for p, w in zip(parts, widths)
     ]
     width = f.root.support.bit_count()
@@ -198,7 +204,7 @@ class TestDecomposition:
         f = parse("(x1 & x2) | (x3 & x4 & x5)")
         (law, parts), combined = top_split(f)
         assert law == "or"
-        probs = sorted(satisfaction_probability(Formula(p, 5)).as_fraction()
+        probs = sorted(satisfaction_probability(Formula(p, 5))
                        for p in parts)
         assert probs == [Fraction(1, 8), Fraction(1, 4)]
         assert combined == satisfaction_probability(f) == Fraction(11, 32)
@@ -242,7 +248,7 @@ class TestDecomposition:
         for width in (3, 2, 1):
             pi = and_(*(var(i) for i in range(3, 3 + width)))
             combined = Formula(or_(host.root, pi), 3 + width - 1)
-            p = satisfaction_probability(combined).as_fraction()
+            p = satisfaction_probability(combined)
             assert p >= last
             last = p
 
@@ -290,7 +296,7 @@ class TestXorFreshening:
         for d_payload, blocks in [(2, 2), (3, 2), (3, 3)]:
             f, _ = self.xor_block_formula(d_payload, blocks)
             assert (
-                satisfaction_probability(f).as_fraction() == naive_probability(f)
+                satisfaction_probability(f) == naive_probability(f)
             )
 
     def test_conditioning_group_members_matches_naive(self):
@@ -303,7 +309,7 @@ class TestXorFreshening:
             x = random_assignment(rng, d)
             size = rng.randint(0, min(d, 5))
             s = sorted(rng.sample(range(1, d + 1), size))
-            got = conditional_agreement_probability(f, x, s).as_fraction()
+            got = conditional_agreement_probability(f, x, s)
             want = naive_agreement(f, x, s)
             assert got == want, (trial, str(f), str(x), s)
 
@@ -311,9 +317,9 @@ class TestXorFreshening:
         # f = (r1 ^ r2 ^ r3) & x4; fixing the whole trio pins the block.
         f = Formula(and_(xor_all([var(1), var(2), var(3)]), var(4)), 4)
         x = Assignment.from_string("1011")
-        got = conditional_agreement_probability(f, x, [1, 2, 3]).as_fraction()
+        got = conditional_agreement_probability(f, x, [1, 2, 3])
         assert got == naive_agreement(f, x, [1, 2, 3])
-        got_partial = conditional_agreement_probability(f, x, [1, 2]).as_fraction()
+        got_partial = conditional_agreement_probability(f, x, [1, 2])
         assert got_partial == naive_agreement(f, x, [1, 2])
 
     def test_count_reads_only_the_masked_bits(self):
@@ -360,7 +366,7 @@ class TestForcedDecomposition:
             x = random_assignment(rng, d)
             size = rng.randint(0, min(4, d))
             s = sorted(rng.sample(range(1, d + 1), size))
-            got = conditional_agreement_probability(f, x, s).as_fraction()
+            got = conditional_agreement_probability(f, x, s)
             assert got == naive_agreement(f, x, s), (str(f), str(x), s)
 
     def test_structured_guard_and_xor_shape(self, monkeypatch):
@@ -387,7 +393,7 @@ class TestForcedDecomposition:
             x = random_assignment(rng, arity)
             size = rng.randint(0, min(4, arity))
             s = sorted(rng.sample(range(1, arity + 1), size))
-            got = conditional_agreement_probability(f, x, s).as_fraction()
+            got = conditional_agreement_probability(f, x, s)
             assert got == naive_agreement(f, x, s)
 
 
@@ -432,7 +438,7 @@ class TestPlugSplit:
         payload = parse("(x1 & x2) | (!x1 & x3)")
         block = and_(*(var(i) for i in range(4, 24)))
         f = Formula(and_(or_(payload.root, block), var(24)), 24)
-        p = satisfaction_probability(f).as_fraction()
+        p = satisfaction_probability(f)
         p_payload = naive_probability(payload)
         p_block = Fraction(1, 1 << 20)
         want = (p_payload + (1 - p_payload) * p_block) * Fraction(1, 2)
@@ -445,7 +451,7 @@ class TestPlugSplit:
         x = Assignment.ones(23)
         # Fix part of the block: remaining block probability 2^-5.
         s = list(range(4, 19))
-        got = conditional_satisfaction_probability(f, x, s).as_fraction()
+        got = conditional_satisfaction_probability(f, x, s)
         p_payload = naive_probability(payload)
         want = p_payload + (1 - p_payload) * Fraction(1, 1 << 5)
         assert got == want

@@ -37,10 +37,10 @@ class TestBuildPi:
         assert g.n == 6
         assert g.prob == Fraction(43, 64)
         assert [s.added_vars for s in g.trace] == [1, 2, 3]
-        assert abs(Fraction(7, 10) - g.prob.as_fraction()) == Fraction(
+        assert abs(Fraction(7, 10) - g.prob) == Fraction(
             1800, 64000
         )  # 0.028125
-        assert abs(Fraction(7, 10) - g.prob.as_fraction()) <= Fraction(1, 16)
+        assert abs(Fraction(7, 10) - g.prob) <= Fraction(1, 16)
         assert render(g.pi.root) == "(x1 | (x2 & x3) | (x4 & x5 & x6))"
 
     def test_eta_one(self):
@@ -53,7 +53,7 @@ class TestBuildPi:
         assert g.kind == "and_chain"
         assert g.n == 3
         assert g.prob == Fraction(1, 8)
-        assert abs(Fraction(1, 1000) - g.prob.as_fraction()) <= Fraction(1, 8)
+        assert abs(Fraction(1, 1000) - g.prob) <= Fraction(1, 8)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestBuildPi:
             ell = rng.randint(1, 12)
             eta = Fraction(rng.randint(1, 4095), 4096)
             g = build_pi(eta, ell)
-            assert abs(eta - g.prob.as_fraction()) <= Fraction(1, 1 << ell)
+            assert abs(eta - g.prob) <= Fraction(1, 1 << ell)
             assert g.n <= ell * (ell + 3) // 2
             if g.kind == "iterative":
                 gap_prev = eta
@@ -86,7 +86,7 @@ class TestBuildPi:
             eta = Fraction(rng.randint(1, 255), 256)
             g = build_pi(eta, ell)
             if g.n <= 16:
-                assert truth_table(g.pi).ones() == g.prob.as_fraction() * (1 << g.n)
+                assert truth_table(g.pi).ones() == g.prob * (1 << g.n)
 
     def test_monotone_dnf_shape(self):
         # No negations anywhere: the rendered text never contains '!'.
@@ -108,7 +108,7 @@ class TestRaisingGadget:
         a, b = shift.interval
         assert (a, b) == (Fraction(3, 5), Fraction(4, 5))
         assert shift.gadget.prob == Fraction(43, 64)
-        assert a <= shift.gadget.prob.as_fraction() < b
+        assert a <= shift.gadget.prob < b
 
     def test_boundary_values(self):
         shift = raise_probability_gadget(3, Fraction(1, 4), Fraction(1, 2))
@@ -182,7 +182,7 @@ class TestLoweringGadget:
         shift = lower_probability_gadget(3, Fraction(1, 4), Fraction(3, 4))
         a, b = shift.interval
         assert (a, b) == (Fraction(1, 3), Fraction(2, 5))
-        p = shift.gadget.prob.as_fraction()
+        p = shift.gadget.prob
         assert a < p <= b
         # eta = 11/30 and ell = 5 follow from the interval.
         assert abs(Fraction(11, 30) - p) <= Fraction(1, 32)
@@ -224,7 +224,7 @@ class TestLoweringGadget:
                 combined = shift.apply(f)
                 if combined.arity <= 16:
                     assert (
-                        satisfaction_probability(combined).as_fraction()
+                        satisfaction_probability(combined)
                         == naive_probability(combined)
                     )
 

@@ -361,7 +361,7 @@ class TestXorProbabilityFacts:
         for _ in range(40):
             d = rng.randint(1, 5)
             f = random_formula(rng, d, 8)
-            p = satisfaction_probability(f).as_fraction()
+            p = satisfaction_probability(f)
             fresh = var(d + 1)
             fresh2 = var(d + 2)
             cases = [
@@ -373,9 +373,9 @@ class TestXorProbabilityFacts:
             for psi, p_psi, want in cases:
                 assert satisfaction_probability(
                     Formula(psi, f.arity + 2)
-                ).as_fraction() == p_psi
+                ) == p_psi
                 combined = Formula(xor(f.root, psi), f.arity + 2)
-                got = satisfaction_probability(combined).as_fraction()
+                got = satisfaction_probability(combined)
                 assert got == want
 
 
@@ -389,8 +389,8 @@ class TestMixingIdentity:
             and_(num_f.root, cond.root), max(num_f.arity, cond.arity)
         )
         base = Formula(cond.root, joint.arity)
-        pj = satisfaction_probability(joint).as_fraction()
-        pb = satisfaction_probability(base).as_fraction()
+        pj = satisfaction_probability(joint)
+        pb = satisfaction_probability(base)
         return pj / pb
 
     def test_identity_on_random_instances(self):
@@ -427,7 +427,7 @@ class TestMixingIdentity:
             phi_f = Formula(phi, arity)
             ab = Formula(and_(a.root, match), arity)
             p_phi_ab = self.conditional(phi_f, ab)
-            p_b = satisfaction_probability(Formula(match, arity)).as_fraction()
+            p_b = satisfaction_probability(Formula(match, arity))
             rhs = HALF + (p_phi_ab - HALF) * p_b
             assert lhs == rhs
 

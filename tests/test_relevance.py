@@ -245,6 +245,16 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_relevance(FIG1, X110, [1], Fraction(1, 2), Fraction(0), 1)
 
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_rejects_index_outside_the_formula(self, index):
+        # As is_delta_relevant does: x0 and x4 are not variables of FIG1.
+        delta, gamma = Fraction(3, 4), Fraction(1, 10)
+        refusal = f"index {index} out of range 1..3"
+        with pytest.raises(ValueError, match=refusal):
+            sample_relevance(FIG1, X110, [index], delta, gamma, 7)
+        with pytest.raises(ValueError, match=refusal):
+            amplified_sample_relevance(FIG1, X110, [index], delta, gamma, 7, 5)
+
     def test_tie_answers_yes(self):
         # Agreement is exactly 1/2 for f = x1 with S empty; the acceptance
         # threshold delta - gamma/2 = 1/2 makes ties reachable.
