@@ -16,7 +16,8 @@ Three exact devices are layered over bit-parallel enumeration:
 
 * XOR freshening: an XOR chain of distinct variables that each occur exactly
   once in the whole formula is, in distribution, a single fresh fair bit, so
-  the chain collapses to one representative variable.  This rewrite preserves
+  the chain collapses to one representative variable (`_freshen`; a formula
+  with no XOR over variables comes back as it is).  This rewrite preserves
   joint distributions but not the Boolean function itself, and therefore
   never leaves this module.
 
@@ -42,6 +43,7 @@ lane that holds its sums (uint8, then uint16, then int32).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -71,7 +73,6 @@ from .formula import (
     evaluate_lanes,
     rewrite,
     var,
-    xor,
 )
 
 __all__ = [
@@ -96,50 +97,41 @@ TABLE_CAP = 20
 # group members are fixed; a partially fixed group stays a fair bit).
 
 
-def _xor_leaves(node: Node) -> list[Node]:
-    """Operands of the XOR chain at `node`, left to right."""
-    leaves = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Xor):
-            stack += (n.right, n.left)
-        else:
-            leaves.append(n)
-    return leaves
-
-
 def _freshen(root: Node):
-    """Collapse every such XOR chain in one bottom-up pass; returns
-    (root', groups), groups mapping each representative to the mask of its
-    members.  A collapsed chain becomes a variable that occurs once,
-    so its parent chain collapses in the same pass, and no other variable's
-    occurrence count changes: a second pass would find nothing."""
-    occ = _occurrences(root)
-    groups: dict[int, int] = {}
+    """Collapse every such XOR chain; returns (root', groups), groups mapping
+    each representative to the mask of its members.
 
-    def collapse(n: Node, kids: tuple[Node, ...]) -> Optional[Node]:
-        if not isinstance(n, Xor):
-            return None
-        rebuilt = xor(*kids)
-        if not isinstance(rebuilt, Xor):
-            return rebuilt
-        leaves = _xor_leaves(rebuilt)
-        idxs = [l.index for l in leaves if isinstance(l, Var)]
-        if (
-            len(idxs) < len(leaves)
-            or len(set(idxs)) < len(idxs)
-            or any(occ.get(i, 0) != 1 for i in idxs)
+    One scan over the post-order finds the Xors over Vars and such Xors; a
+    root with none comes back as itself.  Otherwise an Xor is marked when
+    each operand is a once-occurring Var or a marked Xor: that Xor has one
+    path from the root, so it is its marked parent's alone.  One `rewrite`
+    puts `var` of the smallest member in place of each outermost marked Xor,
+    so no intermediate Xor is built.  No other variable's occurrence count
+    changes, so freshening the result finds nothing more to collapse.
+    """
+    candidates: dict[Node, None] = {}  # Xors over Vars and such Xors, in post-order
+    for n in chain(_order(root), (root,)):
+        if isinstance(n, Xor) and all(
+            isinstance(k, Var) or k in candidates for k in (n.left, n.right)
         ):
-            return rebuilt
-        rep = min(idxs)
-        merged = 0
-        for i in idxs:
-            merged |= groups.pop(i, 1 << (i - 1))
-        groups[rep] = merged
-        return var(rep)
-
-    return rewrite(root, collapse), groups
+            candidates[n] = None
+    if not candidates:
+        return root, {}
+    occ = _occurrences(root)
+    outermost: dict[Node, None] = {}  # the marked Xors below no marked Xor
+    for n in candidates:
+        kids = (n.left, n.right)
+        if all(k in outermost if isinstance(k, Xor) else occ[k.index] == 1 for k in kids):
+            for k in kids:
+                outermost.pop(k, None)
+            outermost[n] = None
+    groups: dict[int, int] = {}
+    reps: dict[Node, Node] = {}
+    for n in outermost:
+        rep = (n.support & -n.support).bit_length()
+        groups[rep] = n.support
+        reps[n] = var(rep)
+    return rewrite(root, lambda n, kids: reps.get(n)), groups
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ constants 0/1.  AND and OR are n-ary (instance builders emit wide
 conjunctions), XOR is binary and chained left-associatively.  Nodes are
 hash-consed: structurally identical subtrees are the same object, so node
 identity doubles as structural equality and per-node caches can key on the
-object itself.
+object itself.  Evaluation runs a flat lane program compiled once per root
+and cached on it (`evaluate_lanes`).
 
 Surface grammar (UTF-8, whitespace insignificant)::
 
@@ -23,6 +24,7 @@ parenthesised form; ``parse(render(f))`` reproduces the truth table of ``f``.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
@@ -123,10 +125,11 @@ class Node:
 
     `support`, the variables below the node as an int mask in the layout of
     `SubsetMask` (x_i = bit i-1), is set when the node is built.  `_order`
-    (the proper descendants in post-order) is filled in on first use.
+    (the proper descendants in post-order) and `_program` (the lane program
+    of `evaluate_lanes`) are filled in on first use.
     """
 
-    __slots__ = ("support", "_order")
+    __slots__ = ("support", "_order", "_program")
 
     def __post_init__(self):
         if isinstance(self, Var):
@@ -137,6 +140,7 @@ class Node:
                 supp |= c.support
         object.__setattr__(self, "support", supp)
         object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_program", None)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -295,23 +299,28 @@ def _order(root: Node) -> tuple[Node, ...]:
     """
     order = root._order
     if order is None:
-        out: list[Node] = []
-        seen = {root}
-        stack = [(root, iter(_kids(root)))]
-        while stack:
-            node, pending = stack[-1]
-            for child in pending:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append((child, iter(_kids(child))))
-                    break
-            else:
-                stack.pop()
-                out.append(node)
-        out.pop()  # the root
-        order = tuple(out)
+        order = _descendants(root)
         object.__setattr__(root, "_order", order)
     return order
+
+
+def _descendants(root: Node) -> tuple[Node, ...]:
+    """`_order(root)` built afresh, without caching it."""
+    out: list[Node] = []
+    seen = {root}
+    stack = [(root, iter(_kids(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(_kids(child))))
+                break
+        else:
+            stack.pop()
+            out.append(node)
+    out.pop()  # the root
+    return tuple(out)
 
 
 def support(node: Node) -> frozenset[int]:
@@ -678,53 +687,119 @@ def _var_pattern(index: int, size: int) -> int:
     return block & ((1 << size) - 1)
 
 
+# The ops of a lane program, each with one arg.  "slot" is the value pushed
+# by the node numbered arg, `out` the value an And/Or/Xor is folding and
+# `acc` the And/Or root's:
+#   0  push lane(arg)                  6  as 5, then push out
+#   1  push slot ^ full                7  push out ^ slot (xor)
+#   2  out = slot                      8  push full if arg else 0
+#   3  out &= slot, unless out is 0    9  acc &= slot (the first: acc = slot);
+#   4  as 3, then push out                return acc if it is 0
+#   5  out |= slot, unless out is full 10 acc |= slot likewise; return acc
+#                                         if it is full
+# A fold with 0 or with the very object `full` (a lane that is constant over
+# the block, as `_lane_blocks` gives the variables it fixes per block, and
+# as `not` keeps it) takes no pass over the lane: it is the operand or the
+# other side.
+_MID = {And: 3, Or: 5}
+_END = {And: 4, Or: 6, Xor: 7}
+_TAKE = {And: 9, Or: 10}
+
+
+def _program(root: Node) -> bytes | array:
+    """The lane program of `root`: its (op, arg) instructions, flattened.
+
+    Every node of the post-order and then the root push one value, so a
+    node's slot is its place in that order.  An And/Or starts from its first
+    operand's value.  An And/Or root instead takes in each operand as soon
+    as it and the ones before it are pushed, so the run returns once the
+    root is decided, and pushes nothing itself.  Built once per root and
+    cached on it, as bytes when every arg fits in one, else in the narrowest
+    array type that holds them; like `_order`, it holds no reference back to
+    its owner.  A post-order built only to compile it is not kept.
+    """
+    program = root._program
+    if program is None:
+        code: list[int] = []
+        slot: dict[Node, int] = {}
+        ops = root.children if isinstance(root, (And, Or)) else ()
+        taken = 0
+        order = root._order if root._order is not None else _descendants(root)
+        for n in order if ops else chain(order, (root,)):
+            if isinstance(n, Var):
+                code += (0, n.index)
+            elif isinstance(n, Const):
+                code += (8, n.value)
+            elif isinstance(n, Not):
+                code += (1, slot[n.child])
+            else:
+                kids = _kids(n)
+                code += (2, slot[kids[0]])
+                for c in kids[1:-1]:
+                    code += (_MID[type(n)], slot[c])
+                code += (_END[type(n)], slot[kids[-1]])
+            slot[n] = len(slot)
+            while taken < len(ops) and ops[taken] in slot:
+                code += (_TAKE[type(root)], slot[ops[taken]])
+                taken += 1
+        top = max(code)
+        if top < 1 << 8:
+            program = bytes(code)
+        else:
+            program = array("H" if top < 1 << 16 else "I" if top < 1 << 32 else "Q", code)
+        object.__setattr__(root, "_program", program)
+    return program
+
+
 def evaluate_lanes(node: Node, lane: Callable[[int], int], full: int) -> int:
     """Evaluate `node` on every bit position of the lanes at once.
 
     `lane(i)` is the packed column of x_i (bit s is x_i in assignment s) and
     `full` is the all-ones mask over the positions; the result is the packed
-    column of the node's values.  The per-node lanes are freed on return.
+    column of the node's values.  Runs the node's `_program`; an And stops
+    folding at 0 and an Or at `full`, and an And/Or root returns as soon as
+    it is decided (most blocks of a CNF are 0 long before the last clause).
+    The per-node lanes are freed on return.
     """
-    # An And (Or) root takes in each operand as soon as the order has it and
-    # returns once it is 0 (full): most blocks of a CNF are 0 long before
-    # the last clause.
-    ops = node.children if isinstance(node, (And, Or)) else ()
-    is_and = isinstance(node, And)
-    acc = full if is_and else 0
-    k = 0
-    wanted = ops[0] if ops else None
-    value: dict[Node, int] = {}
-    for n in _order(node) if ops else chain(_order(node), (node,)):
-        if isinstance(n, Var):
-            out = lane(n.index)
-        elif isinstance(n, Const):
-            out = full if n.value else 0
-        elif isinstance(n, Not):
-            out = value[n.child] ^ full
-        elif isinstance(n, And):
-            out = full
-            for c in n.children:
-                out &= value[c]
-                if not out:
-                    break
-        elif isinstance(n, Or):
-            out = 0
-            for c in n.children:
-                out |= value[c]
-                if out == full:
-                    break
-        else:
-            out = value[n.left] ^ value[n.right]
-        value[n] = out
-        if n is wanted:
-            # Operands met earlier, below another one, are taken in here too.
-            while k < len(ops) and ops[k] in value:
-                acc = acc & value[ops[k]] if is_and else acc | value[ops[k]]
-                k += 1
-            if acc == (0 if is_and else full):
+    values: list[int] = []
+    push = values.append
+    out = acc = None
+    steps = iter(_program(node))
+    for op, arg in zip(steps, steps):  # (op, arg) pairs
+        if op == 2:
+            out = values[arg]
+        elif op == 5 or op == 6:
+            v = values[arg]
+            if v and out != full:
+                out = v if v is full or not out else out | v
+            if op == 6:
+                push(out)
+        elif op == 3 or op == 4:
+            v = values[arg]
+            if out and v is not full:
+                out = v if not v or out is full else out & v
+            if op == 4:
+                push(out)
+        elif op == 9:
+            v = values[arg]
+            acc = v if acc is None or acc is full else acc if v is full else acc & v
+            if not acc:
                 return acc
-            wanted = ops[k] if k < len(ops) else None
-    return acc if ops else out
+        elif op == 10:
+            v = values[arg]
+            acc = v if not acc else acc | v if v else acc
+            if acc == full:
+                return acc
+        elif op == 0:
+            push(lane(arg))
+        elif op == 1:
+            v = values[arg]
+            push(full if not v else 0 if v is full else v ^ full)
+        elif op == 7:
+            push(out ^ values[arg])
+        else:
+            push(full if arg else 0)
+    return values[-1] if acc is None else acc
 
 
 def _lane_blocks(node: Node, free: list[int], bits: int) -> Iterator[int]:

@@ -678,16 +678,22 @@ def decide_gapped(
     target = evaluate(f, x)
     each, drawn = rounds * n, 0
     chunk = max(1, _DRAW_BLOCK // each)
-    universe = range(1, f.arity + 1)
+    universe = tuple(range(1, f.arity + 1))
     for size in range(k + 1):
         sets = combinations(universe, size)
         while pulled := list(islice(sets, chunk)):
             batch = pulled[: (DRAW_BUDGET - drawn) // each]  # those the budget pays for
             drawn += len(batch) * each
-            checks = [
-                (_free(f.arity, c), _subseed(seed, "set-" + ",".join(map(str, c))))
-                for c in batch
-            ]
+            checks = []
+            for c in batch:
+                # c is ascending and inside 1..d: its free tuple is the runs
+                # of the universe between its members.
+                free, prev = (), 0
+                for i in c:
+                    free += universe[prev : i - 1]
+                    prev = i
+                free += universe[prev:]
+                checks.append((free, _subseed(seed, "set-" + ",".join(map(str, c)))))
             yes = _yes_rounds(f, x, checks, n, target, need, rounds)
             for subset, votes in zip(batch, yes):
                 if 2 * votes > rounds:

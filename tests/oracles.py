@@ -5,6 +5,9 @@ call boolrel's evaluators, bit-parallel tables, independence decomposition
 or search pruning, so they stay an independent check of those paths.  Each
 formula's truth table is built once (bit j is f at x_i = bit i-1 of j), and
 every count and conditional probability is a masked count over it.
+
+`reference_freshen` is the bottom-up XOR freshening that `counting._freshen`
+replaced, kept as the reference for its result.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from boolrel.formula import (
     Or,
     Var,
     Xor,
+    _occurrences,
     and_,
     const,
     not_,
     or_,
+    rewrite,
     var,
     xor,
 )
@@ -158,6 +163,44 @@ def naive_coalition_counts(f: Formula, x: Assignment, value: int) -> np.ndarray:
         lacking = ys[(ys >> b) & 1 == 0]
         counts[lacking] += counts[lacking | (1 << b)]
     return counts
+
+
+def reference_freshen(root: Node):
+    """(root', groups) as `counting._freshen` gives them, by one bottom-up
+    rewrite: each Xor is rebuilt over its rebuilt operands, and a rebuilt
+    chain whose leaves are distinct variables that each occur once in the
+    whole formula becomes `var` of its smallest leaf."""
+    occ = _occurrences(root)
+    groups: dict[int, int] = {}
+
+    def collapse(n, kids):
+        if not isinstance(n, Xor):
+            return None
+        rebuilt = xor(*kids)
+        if not isinstance(rebuilt, Xor):
+            return rebuilt
+        leaves, stack = [], [rebuilt]
+        while stack:
+            m = stack.pop()
+            if isinstance(m, Xor):
+                stack += (m.right, m.left)
+            else:
+                leaves.append(m)
+        idxs = [leaf.index for leaf in leaves if isinstance(leaf, Var)]
+        if (
+            len(idxs) < len(leaves)
+            or len(set(idxs)) < len(idxs)
+            or any(occ.get(i, 0) != 1 for i in idxs)
+        ):
+            return rebuilt
+        rep = min(idxs)
+        merged = 0
+        for i in idxs:
+            merged |= groups.pop(i, 1 << (i - 1))
+        groups[rep] = merged
+        return var(rep)
+
+    return rewrite(root, collapse), groups
 
 
 def random_formula_node(rng: random.Random, d: int, budget: int) -> Node:

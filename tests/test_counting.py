@@ -23,12 +23,14 @@ from boolrel.formula import (
     EnumerationCapExceeded,
     Formula,
     SubsetMask,
+    Xor,
     and_,
     compose_variables,
     const,
     not_,
     or_,
     parse,
+    shift_variables,
     truth_table,
     var,
     xor_all,
@@ -40,6 +42,7 @@ from oracles import (
     naive_probability,
     random_assignment,
     random_formula,
+    reference_freshen,
 )
 
 FIG1 = parse("(x1 & x2) | !x3")
@@ -271,9 +274,8 @@ class TestXorFreshening:
         ev = ConditionalEvaluator(f)
         assert len(set(ev._groups.values())) >= 1
 
-    def test_one_pass_reaches_the_fixpoint(self):
-        # Freshening collapses in a single pass: run again on its own output
-        # it finds nothing more to collapse.
+    def fixpoint_roots(self):
+        """300 random roots, then an XOR-block formula for each shape."""
         rng = random.Random(17)
         roots = [
             random_formula(rng, rng.randint(8, 40), rng.randint(4, 30)).root
@@ -284,13 +286,90 @@ class TestXorFreshening:
             for d_payload in range(2, 7)
             for blocks in range(1, d_payload + 1)
         ]
+        return roots
+
+    def test_one_pass_reaches_the_fixpoint(self):
+        # Freshening collapses in a single pass: run again on its own output
+        # it finds nothing more to collapse.
         collapsed = 0
-        for root in roots:
+        for root in self.fixpoint_roots():
             once, groups = counting._freshen(root)
             collapsed += bool(groups)
             again, more = counting._freshen(once)
             assert again is once and more == {}, formula.render(root)
         assert collapsed >= 50
+
+    @staticmethod
+    def shared_chain_roots():
+        """DAGs whose XOR chains, or parts of them, are shared."""
+        x = [var(i) for i in range(1, 11)]
+        inner = xor_all(x[0:2])
+        chain = xor_all(x[0:4])
+        return [
+            and_(chain, or_(chain, x[4])),  # a whole chain used twice
+            and_(xor_all([inner, x[2]]), or_(inner, x[3])),  # a shared sub-chain
+            or_(xor_all([inner, x[2], x[3]]), xor_all([x[2], x[5]])),  # a shared leaf
+            and_(xor_all([inner, x[4]]), xor_all([inner, x[5]])),  # two chains, one inner
+            and_(xor_all([xor_all(x[4:7]), not_(chain)]), xor_all(x[7:10])),
+            xor_all([and_(inner, x[2]), xor_all(x[3:6]), xor_all(x[6:9])]),
+        ]
+
+    def test_matches_the_bottom_up_reference(self):
+        # The one-scan freshening gives the root (the same interned node)
+        # and the groups of the parent's bottom-up pass.
+        roots = self.fixpoint_roots() + self.shared_chain_roots()
+        for root in roots:
+            got, groups = counting._freshen(root)
+            want, want_groups = reference_freshen(root)
+            assert got is want and groups == want_groups, formula.render(root)
+
+    def test_shared_chains_stay(self):
+        # A chain below two parents has variables that occur twice, so only
+        # the unshared chains collapse.
+        want = [{}, {}, {1: 0b11}, {}, {1: 0b1111111, 8: 0b111 << 7},
+                {1: 0b11, 4: 0b111 << 3, 7: 0b111 << 6}]
+        for root, groups in zip(self.shared_chain_roots(), want):
+            assert counting._freshen(root)[1] == groups, formula.render(root)
+
+    def test_xor_free_root_comes_back_as_itself(self, monkeypatch):
+        # No Xor over Vars, no occurrence count: the root itself, no groups.
+        def refuse(root):
+            raise AssertionError("occurrence counts taken for an XOR-free root")
+
+        monkeypatch.setattr(counting, "_occurrences", refuse)
+        rng = random.Random(19)
+        for _ in range(100):
+            root = random_formula(rng, 12, 20).root
+            if any(isinstance(n, Xor) for n in (root, *formula._order(root))):
+                continue
+            got, groups = counting._freshen(root)
+            assert got is root and groups == {}
+        xor_of_clauses = parse("(x1 | x2) ^ (x3 & x4)").root
+        assert counting._freshen(xor_of_clauses) == (xor_of_clauses, {})
+
+    def test_freshening_interns_no_throwaway_xor(self):
+        # Every Xor that freshening adds to the intern table is a node of
+        # its result: no intermediate chain is built.  The variables are
+        # shifted past any other test's, so every chain is new here.
+        def xors():
+            return {n for n in formula._interned.values() if isinstance(n, Xor)}
+
+        for d_payload in range(2, 7):
+            for blocks in range(1, d_payload + 1):
+                f, _ = self.xor_block_formula(d_payload, blocks)
+                root = shift_variables(f.root, 5000)
+                before = xors()
+                once, groups = counting._freshen(root)
+                added = xors() - before
+                assert added <= set(formula._order(once)) | {once}
+        # A payload without Xor: the result has none either, so none is added.
+        payload = parse("(x1 & !x2) | x3").root
+        wired = compose_variables(
+            payload, {j: xor_all([var(6000 + 3 * j + t) for t in range(3)]) for j in (1, 2, 3)}
+        )
+        before = xors()
+        once, groups = counting._freshen(wired)
+        assert len(groups) == 3 and xors() == before
 
     def test_unconditional_matches_naive(self):
         for d_payload, blocks in [(2, 2), (3, 2), (3, 3)]:

@@ -38,7 +38,14 @@ from boolrel.formula import (
     var,
     xor,
 )
-from oracles import _table, naive_count_ones, random_formula, random_formula_node
+from oracles import (
+    _pattern,
+    _table,
+    _value,
+    naive_count_ones,
+    random_formula,
+    random_formula_node,
+)
 
 FIG1 = "(x1 & x2) | !x3"
 
@@ -265,6 +272,102 @@ class TestEvaluate:
         assert evaluate(f, a) == 1
         assert evaluate_lanes(f.root, lane, 0b1111) == 0b1000
         assert gc.collect() == 0
+
+
+class TestLaneProgram:
+    """`evaluate_lanes` runs a program compiled once per root; it must give
+    the oracle's values at any width and in any block."""
+
+    @pytest.mark.parametrize("width", [1, 8, 64])
+    def test_matches_the_oracle(self, width):
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        for _ in range(300):
+            d = rng.randint(1, 8)
+            root = random_formula_node(rng, d, rng.randint(1, 40))
+            # Some lanes are 0 or `full` itself, as `_lane_blocks` gives the
+            # variables it fixes per block.
+            lanes = {
+                i: rng.choice([rng.getrandbits(width), rng.getrandbits(width), 0, full])
+                for i in range(1, d + 1)
+            }
+            want = _value(root, lanes.__getitem__, full)
+            assert evaluate_lanes(root, lanes.__getitem__, full) == want, render(root)
+
+    def test_blocks_match_the_oracle(self, monkeypatch):
+        # Blocks of 2^3 positions, so every root runs its program on many
+        # blocks; And/Or roots of clauses and terms return early on some.
+        monkeypatch.setattr(formula, "_LEAF_BITS", 3)
+        rng = random.Random(23)
+        roots = [random_formula_node(rng, 7, rng.randint(2, 30)) for _ in range(100)]
+        for _ in range(40):
+            clauses = [
+                [var(v) if rng.random() < 0.5 else not_(var(v)) for v in rng.sample(range(1, 8), 3)]
+                for _ in range(rng.randint(2, 12))
+            ]
+            roots.append(and_(*(or_(*c) for c in clauses)))
+            roots.append(or_(*(and_(*c) for c in clauses)))
+        for root in roots:
+            d = 7
+            assert formula.table_bits(root, d) == _table(root, d), render(root)
+            # Some variables free (bit j of the position XOR the base), the
+            # rest fixed by the base.
+            free = sorted(rng.sample(range(1, d + 1), rng.randint(0, d)))
+            bits = rng.getrandbits(d)
+            size = 1 << len(free)
+            every = (1 << size) - 1
+
+            def column(v):
+                base = every if (bits >> (v - 1)) & 1 else 0
+                if v in free:
+                    return _pattern(free.index(v) + 1, size) ^ base
+                return base
+
+            want = _value(root, column, every)
+            step = 1 << min(len(free), 3)
+            blocks = formula._lane_blocks(root, free, bits)
+            got = sum(out << (i * step) for i, out in enumerate(blocks))
+            assert got == want, render(root)
+
+    def test_and_or_roots_return_once_decided(self):
+        # The root's first operand decides it, so x3's lane is not read.
+        for root, low in [
+            (and_(var(1), or_(var(2), var(3))), 0),
+            (or_(var(1), and_(var(2), not_(var(3)))), 0b1111),
+            (and_(or_(var(1), var(2)), or_(not_(var(2)), var(3))), 0),
+        ]:
+            read = []
+
+            def lane(i):
+                read.append(i)
+                return low if i < 3 else 0b0110
+
+            assert evaluate_lanes(root, lane, 0b1111) == low
+            assert 3 not in read, render(root)
+
+    def test_program_is_no_larger_than_the_post_order(self):
+        # The program is what evaluation keeps for a root: about one byte per
+        # op and per arg while the slots fit in a byte, against eight per
+        # node for the cached post-order.
+        rng = random.Random(29)
+        roots = [random_formula_node(rng, rng.randint(2, 40), rng.randint(1, 200))
+                 for _ in range(300)]
+        for d in (20, 22, 24):  # the benchmark's 3-CNF sizes
+            clauses = [
+                [var(v) if rng.random() < 0.5 else not_(var(v)) for v in rng.sample(range(1, d + 1), 3)]
+                for _ in range(4 * d)
+            ]
+            roots.append(and_(*(or_(*c) for c in clauses)))
+        roots.append(parse(" ^ ".join(f"x{i}" for i in range(1, 2401))).root)
+        for root in roots:
+            program = formula._program(root)
+            assert sys.getsizeof(program) <= sys.getsizeof(formula._order(root))
+        # Past 255 slots each op and arg takes two bytes: a wide 3-CNF, whose
+        # literals are shared by many clauses, stays within twice its order.
+        clauses = [[var(v) for v in rng.sample(range(1, 61), 3)] for _ in range(240)]
+        root = and_(*(or_(*c) for c in clauses))
+        program = formula._program(root)
+        assert sys.getsizeof(program) <= 2 * sys.getsizeof(formula._order(root))
 
 
 DEEP_SCRIPT = """
