@@ -131,7 +131,7 @@ def _freshen(root: Node):
         rep = (n.support & -n.support).bit_length()
         groups[rep] = n.support
         reps[n] = var(rep)
-    return rewrite(root, lambda n, kids: reps.get(n)), groups
+    return rewrite(root, reps), groups
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +409,7 @@ class ConditionalEvaluator:
         key = (node, plug, value)
         got = self._replaced.get(key)
         if got is None:
-            got = rewrite(node, lambda n, kids: const(value) if n is plug else None)
+            got = rewrite(node, {plug: const(value)})
             self._replaced[key] = got
         return got
 

@@ -6,7 +6,8 @@ conjunctions), XOR is binary and chained left-associatively.  Nodes are
 hash-consed: structurally identical subtrees are the same object, so node
 identity doubles as structural equality and per-node caches can key on the
 object itself.  Evaluation runs a flat lane program compiled once per root
-and cached on it (`evaluate_lanes`).
+and cached on it (`evaluate_lanes`).  The parser reads the tokens of one
+regex scan (`_TOKEN`); `parse` and `render` keep memos of MEMO_SIZE entries.
 
 Surface grammar (UTF-8, whitespace insignificant)::
 
@@ -24,6 +25,7 @@ parenthesised form; ``parse(render(f))`` reproduces the truth table of ``f``.
 from __future__ import annotations
 
 import functools
+import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -187,18 +189,17 @@ def _kids(node: Node) -> tuple[Node, ...]:
 _interned: dict = {}
 
 
-def _intern(key, make):
+def _intern(key, cls, *args) -> Node:
     node = _interned.get(key)
     if node is None:
-        node = make()
-        _interned[key] = node
+        node = _interned[key] = cls(*args)
     return node
 
 
 def const(value: int) -> Const:
     if value not in (0, 1):
         raise ValueError(f"constant must be 0 or 1, got {value!r}")
-    return _intern(("const", value), lambda: Const(value))
+    return _intern(("const", value), Const, value)
 
 
 FALSE = const(0)
@@ -208,33 +209,39 @@ TRUE = const(1)
 def var(index: int) -> Var:
     if not isinstance(index, int) or index < 1:
         raise ValueError(f"variable index must be a positive integer, got {index!r}")
-    return _intern(("var", index), lambda: Var(index))
+    return _intern(("var", index), Var, index)
 
 
 def not_(child: Node) -> Node:
+    # Only a Not over a Var, And, Or or Xor is interned: a hit needs no check.
+    node = _interned.get(("not", child))
+    if node is not None:
+        return node
     if isinstance(child, Const):
         return const(1 - child.value)
     if isinstance(child, Not):
         return child.child
-    return _intern(("not", child), lambda: Not(child))
+    return _intern(("not", child), Not, child)
 
 
 def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const) -> Node:
     """The folded `cls` node: flatten, drop neutral constants, dedupe, and
-    give `absorbing` on an absorbing constant or a pair of complements."""
+    give `absorbing` on an absorbing constant or a pair of complements.  It
+    is interned under `(cls, its children tuple)`, so operands that are
+    already a node's children find it at once."""
+    key = (cls, tuple(children))
+    node = _interned.get(key)
+    if node is not None:
+        return node
     flat: list[Node] = []
     negated: dict[Node, bool] = {}  # each operand with its Not stripped
-    for c in children:
-        if isinstance(c, cls):
-            sub = c.children
-        else:
-            sub = (c,)
-        for s in sub:
+    for c in key[1]:
+        for s in c.children if type(c) is cls else (c,):
             if s is absorbing:
                 return absorbing
             if s is neutral:
                 continue
-            is_not = isinstance(s, Not)
+            is_not = type(s) is Not
             base = s.child if is_not else s
             seen = negated.get(base)
             if seen is None:
@@ -244,7 +251,9 @@ def _gather(children: Iterable[Node], cls, absorbing: Const, neutral: Const) -> 
                 return absorbing
     if len(flat) <= 1:
         return flat[0] if flat else neutral
-    return _intern((cls, *flat), lambda: cls(tuple(flat)))
+    if tuple(flat) != key[1]:
+        key = (cls, tuple(flat))
+    return _intern(key, cls, key[1])
 
 
 def and_(*children: Node) -> Node:
@@ -274,7 +283,7 @@ def xor(left: Node, right: Node) -> Node:
     elif left is right:
         result = FALSE
     else:
-        result = _intern(("xor", left, right), lambda: Xor(left, right))
+        result = _intern(("xor", left, right), Xor, left, right)
     return not_(result) if negate else result
 
 
@@ -352,25 +361,30 @@ def _occurrences(root: Node) -> dict[int, int]:
     return occ
 
 
-def rewrite(
-    root: Node, hook: Callable[[Node, tuple[Node, ...]], Optional[Node]]
-) -> Node:
-    """Rebuild `root` bottom-up through the folding constructors.
-
-    Each node is visited once, after its children.  `hook(node, kids)` gets
-    the node and its rebuilt children and returns the node's replacement,
-    or None to rebuild it from `kids` (the node itself when none changed).
-    """
-    new: dict[Node, Node] = {}
-    for n in chain(_order(root), (root,)):
-        old = _kids(n)
-        kids = tuple(new[c] for c in old)
-        out = hook(n, kids)
-        if out is None:
-            unchanged = all(k is c for k, c in zip(kids, old))
-            out = n if unchanged else _BUILD[type(n)](*kids)
-        new[n] = out
-    return out
+def rewrite(root: Node, swap: dict[Node, Node]) -> Node:
+    """`root` with each key of `swap` replaced by its value, rebuilt bottom-up
+    through the folding constructors.  The walk enters only children whose
+    support meets a key's (every key needs a variable), so a subtree with no
+    key below it costs one mask test and is kept; so is an unchanged root."""
+    mask = 0
+    for key in swap:
+        mask |= key.support
+    new = dict(swap)  # each node entered, with what it became
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if n in new:
+            stack.pop()
+            continue
+        kids = _kids(n)
+        pending = [c for c in kids if c.support & mask and c not in new]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        rebuilt = tuple([new.get(c, c) for c in kids])
+        new[n] = n if rebuilt == kids else _BUILD[type(n)](*rebuilt)
+    return new[root]
 
 
 def substitute(node: Node, fixed: dict[int, int]) -> Node:
@@ -386,7 +400,7 @@ def shift_variables(node: Node, offset: int) -> Node:
 def compose_variables(node: Node, mapping: dict[int, Node]) -> Node:
     """Substitute whole subformulas for variables; unmapped variables stay."""
     return rewrite(
-        node, lambda n, kids: mapping.get(n.index) if isinstance(n, Var) else None
+        node, {var(i): mapping[i] for i in _indices(node.support) if i in mapping}
     )
 
 
@@ -522,97 +536,98 @@ def parse(text: str, arity: Optional[int] = None) -> Formula:
     return Formula.of(_parse_root(text), arity)
 
 
+# A token is a variable, a constant, an operator or any other character,
+# which the parser refuses.  Whitespace only separates: `\s` matches what
+# `str.isspace` accepts.  `\d` would also take digits such as '٣'.
+_TOKEN = re.compile(r"x[0-9]+|[01!&^|()]|\S")
+
+
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _parse_root(text: str) -> Node:
-    """The root node of formula text.
+    """The root node of formula text, read from one regex scan of its tokens.
 
     Operator precedence is resolved with one frame per open parenthesis: a
     frame holds the finished operands of its '|' level, the XOR chain so far
-    and the operands of the current '&' group, plus the count of '!' that
-    wait in front of the group's next operand.
+    and the earlier operands of the current '&' group, plus the count of '!'
+    that wait in front of the group's next operand.
     """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the input
     frames: list[tuple] = []  # the enclosing groups, innermost last
     ors: list[Node] = []
     xored: Optional[Node] = None
     ands: list[Node] = []
     nots = 0
-    pos = _skip_space(text, 0)
+    at = -1  # the token read last
     while True:
         # An operand: '!' prefixes, then '(' or an atom.
-        ch = text[pos] if pos < len(text) else ""
-        if ch == "!":
+        at += 1
+        tok = tokens[at]
+        if tok == "!":
             nots += 1
-            pos = _skip_space(text, pos + 1)
             continue
-        if ch == "(":
+        if tok == "(":
             frames.append((ors, xored, ands, nots))
             ors, xored, ands, nots = [], None, [], 0
-            pos = _skip_space(text, pos + 1)
             continue
-        node, pos = _atom(text, pos)
+        if len(tok) > 1:  # 'x' and digits; every other token is one character
+            try:
+                index = int(tok[1:])
+            except ValueError:  # more digits than int() converts
+                raise _syntax_error(text, at, "variable index too long") from None
+            if not index:
+                raise _syntax_error(text, at, "variable index 0 is not allowed")
+            node = var(index)
+        elif tok == "0" or tok == "1":
+            node = TRUE if tok == "1" else FALSE
+        elif tok == "x":
+            raise _syntax_error(text, at, "expected digits after 'x'", 1)
+        else:
+            message = f"unexpected character {tok!r}" if tok else "unexpected end of input"
+            raise _syntax_error(text, at, message)
         while True:
-            for _ in range(nots):
+            if nots & 1:  # '!!' cancels
                 node = not_(node)
             nots = 0
-            ands.append(node)
-            pos = _skip_space(text, pos)
-            ch = text[pos] if pos < len(text) else ""
+            at += 1
+            tok = tokens[at]
             # Anything but '&' closes the '&' group, and anything but '&' or
             # '^' also the XOR chain.
-            if ch != "&":
-                group = and_(*ands) if len(ands) > 1 else ands[0]
-                xored = group if xored is None else xor(xored, group)
+            if tok == "&":
+                ands.append(node)
+                break
+            if ands:
+                ands.append(node)
+                node = _gather(ands, And, FALSE, TRUE)
                 ands = []
-                if ch != "^":
-                    ors.append(xored)
-                    xored = None
-            if ch in ("&", "^", "|"):
-                pos = _skip_space(text, pos + 1)
+            xored = node if xored is None else xor(xored, node)
+            if tok == "^":
+                break
+            ors.append(xored)
+            xored = None
+            if tok == "|":
                 break
             # The group ends.
-            node = or_(*ors) if len(ors) > 1 else ors[0]
+            node = _gather(ors, Or, TRUE, FALSE) if len(ors) > 1 else ors[0]
             if not frames:
-                if ch:
-                    raise FormulaSyntaxError(
-                        f"unexpected trailing input {text[pos:]!r}", pos
-                    )
+                if tok:
+                    raise _syntax_error(text, at)
                 return node
-            if ch != ")":
-                raise FormulaSyntaxError("expected ')'", pos)
-            pos += 1
+            if tok != ")":
+                raise _syntax_error(text, at, "expected ')'")
             ors, xored, ands, nots = frames.pop()
 
 
-def _skip_space(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+def _syntax_error(text: str, at: int, message: str = "", skip: int = 0):
+    """The error at token number `at` (past the last, the end of the text),
+    moved on by `skip`; with no message, that trailing input is unexpected."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    pos = (starts[at] if at < len(starts) else len(text)) + skip
+    message = message or f"unexpected trailing input {text[pos:]!r}"
+    return FormulaSyntaxError(message, pos)
 
 
-_DIGITS = frozenset("0123456789")  # str.isdigit also accepts e.g. '²'
-
-
-def _atom(text: str, pos: int) -> tuple[Node, int]:
-    """A constant or a variable at `pos`; returns it and the offset after it."""
-    ch = text[pos] if pos < len(text) else ""
-    if ch in ("0", "1"):
-        return const(int(ch)), pos + 1
-    if ch == "x":
-        end = pos + 1
-        while end < len(text) and text[end] in _DIGITS:
-            end += 1
-        if end == pos + 1:
-            raise FormulaSyntaxError("expected digits after 'x'", end)
-        try:
-            index = int(text[pos + 1 : end])
-        except ValueError:  # more digits than int() converts
-            raise FormulaSyntaxError("variable index too long", pos) from None
-        if index == 0:
-            raise FormulaSyntaxError("variable index 0 is not allowed", pos)
-        return var(index), end
-    if ch == "":
-        raise FormulaSyntaxError("unexpected end of input", pos)
-    raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
+_SEPARATOR = {And: " & ", Or: " | ", Xor: " ^ "}
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -620,26 +635,39 @@ def render(node: Node) -> str:
     """Fully parenthesised text form; parses back to the same truth table.
 
     The texts of the last MEMO_SIZE nodes are kept; nodes are interned, so
-    the lookup is by identity.  Tokens are emitted from an explicit stack of
-    pending nodes and strings, so memory stays linear in the output whatever
-    the depth.
+    the lookup is by identity.  An And/Or/Xor over literals (x_i, !x_i) is
+    written as one joined string; everything else is emitted from an
+    explicit stack of pending nodes and strings, so memory stays linear in
+    the output whatever the depth.
     """
     out: list[str] = []
     stack: list = [node]
     while stack:
         n = stack.pop()
-        if isinstance(n, str):
+        kind = type(n)
+        if kind is str:
             out.append(n)
-        elif isinstance(n, Var):
+        elif kind is Var:
             out.append(f"x{n.index}")
-        elif isinstance(n, Const):
-            out.append(str(n.value))
-        elif isinstance(n, Not):
+        elif kind is Const:
+            out.append("1" if n.value else "0")
+        elif kind is Not:
             out.append("!")
             stack.append(n.child)
         else:
-            sep = " & " if isinstance(n, And) else " | " if isinstance(n, Or) else " ^ "
-            kids = _kids(n)
+            kids = (n.left, n.right) if kind is Xor else n.children
+            sep = _SEPARATOR[kind]
+            literals = []
+            for c in kids:
+                if type(c) is Var:
+                    literals.append(f"x{c.index}")
+                elif type(c) is Not and type(c.child) is Var:
+                    literals.append(f"!x{c.child.index}")
+                else:
+                    break
+            else:
+                out.append(f"({sep.join(literals)})")
+                continue
             out.append("(")
             stack.append(")")
             for c in reversed(kids[1:]):
@@ -940,13 +968,14 @@ class ReluNetwork:
 
 
 def _expand_xor(node: Node) -> Node:
-    """Rewrite XOR via AND/OR/NOT; other nodes are kept."""
-    return rewrite(
-        node,
-        lambda n, kids: (
-            and_(or_(*kids), not_(and_(*kids))) if isinstance(n, Xor) else None
-        ),
-    )
+    """Rewrite each XOR, inner ones first, as (a | b) & !(a & b) over its
+    rewritten operands; other nodes are kept."""
+    swap: dict[Node, Node] = {}
+    for n in chain(_order(node), (node,)):
+        if isinstance(n, Xor):
+            a, b = rewrite(n.left, swap), rewrite(n.right, swap)
+            swap[n] = and_(or_(a, b), not_(and_(a, b)))
+    return rewrite(node, swap)
 
 
 def compile_to_relu(f: Formula) -> ReluNetwork:

@@ -7,7 +7,10 @@ formula's truth table is built once (bit j is f at x_i = bit i-1 of j), and
 every count and conditional probability is a masked count over it.
 
 `reference_freshen` is the bottom-up XOR freshening that `counting._freshen`
-replaced, kept as the reference for its result.
+replaced, kept as the reference for its result.  `reference_rewrite`,
+`reference_parse` and `reference_render` are the rebuild of every node,
+the character-by-character parser and the node-by-node renderer that
+`formula.rewrite`, `formula.parse` and `formula.render` replaced.
 """
 
 from __future__ import annotations
@@ -15,25 +18,30 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
 from boolrel.formula import (
+    _BUILD,
     And,
     Assignment,
     Const,
     Formula,
+    FormulaSyntaxError,
     Node,
     Not,
     Or,
     Var,
     Xor,
+    _kids,
     _occurrences,
+    _order,
     and_,
     const,
     not_,
     or_,
-    rewrite,
     var,
     xor,
 )
@@ -200,7 +208,144 @@ def reference_freshen(root: Node):
         groups[rep] = merged
         return var(rep)
 
-    return rewrite(root, collapse), groups
+    return reference_rewrite(root, collapse), groups
+
+
+def reference_rewrite(root: Node, hook) -> Node:
+    """Rebuild `root` bottom-up through the folding constructors, visiting
+    every node once, after its children.  `hook(node, kids)` gets the node
+    and its rebuilt children and returns the node's replacement, or None to
+    rebuild it from `kids` (the node itself when none changed)."""
+    new: dict[Node, Node] = {}
+    for n in chain(_order(root), (root,)):
+        old = _kids(n)
+        kids = tuple(new[c] for c in old)
+        out = hook(n, kids)
+        if out is None:
+            unchanged = all(k is c for k, c in zip(kids, old))
+            out = n if unchanged else _BUILD[type(n)](*kids)
+        new[n] = out
+    return out
+
+
+def reference_parse(text: str) -> Node:
+    """The root node of formula text, read one character at a time.
+
+    Operator precedence is resolved with one frame per open parenthesis: a
+    frame holds the finished operands of its '|' level, the XOR chain so far
+    and the operands of the current '&' group, plus the count of '!' that
+    wait in front of the group's next operand.
+    """
+    frames: list[tuple] = []  # the enclosing groups, innermost last
+    ors: list[Node] = []
+    xored: Optional[Node] = None
+    ands: list[Node] = []
+    nots = 0
+    pos = _skip_space(text, 0)
+    while True:
+        # An operand: '!' prefixes, then '(' or an atom.
+        ch = text[pos] if pos < len(text) else ""
+        if ch == "!":
+            nots += 1
+            pos = _skip_space(text, pos + 1)
+            continue
+        if ch == "(":
+            frames.append((ors, xored, ands, nots))
+            ors, xored, ands, nots = [], None, [], 0
+            pos = _skip_space(text, pos + 1)
+            continue
+        node, pos = _atom(text, pos)
+        while True:
+            for _ in range(nots):
+                node = not_(node)
+            nots = 0
+            ands.append(node)
+            pos = _skip_space(text, pos)
+            ch = text[pos] if pos < len(text) else ""
+            # Anything but '&' closes the '&' group, and anything but '&' or
+            # '^' also the XOR chain.
+            if ch != "&":
+                group = and_(*ands) if len(ands) > 1 else ands[0]
+                xored = group if xored is None else xor(xored, group)
+                ands = []
+                if ch != "^":
+                    ors.append(xored)
+                    xored = None
+            if ch in ("&", "^", "|"):
+                pos = _skip_space(text, pos + 1)
+                break
+            # The group ends.
+            node = or_(*ors) if len(ors) > 1 else ors[0]
+            if not frames:
+                if ch:
+                    raise FormulaSyntaxError(
+                        f"unexpected trailing input {text[pos:]!r}", pos
+                    )
+                return node
+            if ch != ")":
+                raise FormulaSyntaxError("expected ')'", pos)
+            pos += 1
+            ors, xored, ands, nots = frames.pop()
+
+
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts e.g. '²'
+
+
+def _atom(text: str, pos: int) -> tuple[Node, int]:
+    """A constant or a variable at `pos`; returns it and the offset after it."""
+    ch = text[pos] if pos < len(text) else ""
+    if ch in ("0", "1"):
+        return const(int(ch)), pos + 1
+    if ch == "x":
+        end = pos + 1
+        while end < len(text) and text[end] in _DIGITS:
+            end += 1
+        if end == pos + 1:
+            raise FormulaSyntaxError("expected digits after 'x'", end)
+        try:
+            index = int(text[pos + 1 : end])
+        except ValueError:  # more digits than int() converts
+            raise FormulaSyntaxError("variable index too long", pos) from None
+        if index == 0:
+            raise FormulaSyntaxError("variable index 0 is not allowed", pos)
+        return var(index), end
+    if ch == "":
+        raise FormulaSyntaxError("unexpected end of input", pos)
+    raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
+
+
+def reference_render(node: Node) -> str:
+    """Fully parenthesised text form, one node at a time from an explicit
+    stack of pending nodes and strings."""
+    out: list[str] = []
+    stack: list = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            out.append(n)
+        elif isinstance(n, Var):
+            out.append(f"x{n.index}")
+        elif isinstance(n, Const):
+            out.append(str(n.value))
+        elif isinstance(n, Not):
+            out.append("!")
+            stack.append(n.child)
+        else:
+            sep = " & " if isinstance(n, And) else " | " if isinstance(n, Or) else " ^ "
+            kids = _kids(n)
+            out.append("(")
+            stack.append(")")
+            for c in reversed(kids[1:]):
+                stack.append(c)
+                stack.append(sep)
+            stack.append(kids[0])
+    return "".join(out)
 
 
 def random_formula_node(rng: random.Random, d: int, budget: int) -> Node:

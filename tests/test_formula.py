@@ -1,11 +1,12 @@
 import gc
 import random
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import boolrel.formula as formula
 
@@ -45,6 +46,9 @@ from oracles import (
     naive_count_ones,
     random_formula,
     random_formula_node,
+    reference_parse,
+    reference_render,
+    reference_rewrite,
 )
 
 FIG1 = "(x1 & x2) | !x3"
@@ -169,6 +173,109 @@ class TestParse:
             assert 0 <= err.offset <= len(text)
         else:
             assert isinstance(f, Formula)
+
+
+def _outcome(parser, text):
+    """The root `parser` gives for `text`, or its syntax error's text and offset."""
+    try:
+        return parser(text)
+    except FormulaSyntaxError as err:
+        return str(err), err.offset
+
+
+def _literal(rng, v):
+    return f"!x{v}" if rng.random() < 0.5 else f"x{v}"
+
+
+def _cnf_text(rng, variables, clauses):
+    picks = (rng.sample(variables, 3) for _ in range(clauses))
+    return "(" + " & ".join(
+        "(" + " | ".join(_literal(rng, v) for v in vs) + ")" for vs in picks
+    ) + ")"
+
+
+def _wide_text(rng, kind):
+    """Text shaped like the benchmark's wide formulas: variable-disjoint 3-CNF
+    blocks, XOR chains of 40-100 literals, or hosts each carrying a DNF of
+    disjoint conjunctions."""
+    top = 0
+
+    def fresh(n):
+        nonlocal top
+        top += n
+        return list(range(top - n + 1, top + 1))
+
+    parts = []
+    if kind == "blocks":
+        for _ in range(rng.randint(14, 20)):
+            vs = fresh(rng.randint(5, 8))
+            parts.append(_cnf_text(rng, vs, len(vs)))
+    elif kind == "xor":
+        for _ in range(rng.randint(2, 3)):
+            vs = fresh(rng.randint(6, 8))
+            parts.append(_cnf_text(rng, vs, len(vs)))
+            chain = fresh(rng.randint(40, 100))
+            parts.append("(" + " ^ ".join(_literal(rng, v) for v in chain) + ")")
+        rng.shuffle(parts)
+    else:
+        for _ in range(rng.randint(4, 6)):
+            vs = fresh(rng.randint(8, 10))
+            terms = [fresh(w) for w in range(1, rng.randint(4, 7))]
+            pi = " | ".join("(" + " & ".join(f"x{v}" for v in t) + ")" for t in terms)
+            op = rng.choice([" | ", " & "])
+            parts.append(f"({_cnf_text(rng, vs, 2 * len(vs))}{op}({pi}))")
+    return "(" + rng.choice([" & ", " | "]).join(parts) + ")"
+
+
+WIDE_TEXTS = [
+    _wide_text(random.Random(seed), kind)
+    for seed in range(4)
+    for kind in ("blocks", "xor", "gadget")
+] + [_cnf_text(random.Random(d), list(range(1, d + 1)), 4 * d) for d in (20, 22, 24)]
+
+# Pieces of texts for the differential parse test: every token kind, the
+# whitespace and non-ASCII digits `str.isspace`, `str.isdigit` or `\d`
+# accept, and a digit run past the 4300 digits int() converts.  Indices
+# stay below 10^6: a Var's support mask has `index` bits, so a ten-digit
+# index would ask for gigabytes.
+TEXT_PIECES = st.sampled_from(
+    list("x01!&^|() \t\x1c\u00b2\u0663$y") + ["x1", "x12", "77", "7" * 4301]
+)
+
+
+class TestTokenScan:
+    """The one-scan parser and the literal-group renderer against the
+    character-by-character parser and node-by-node renderer they replaced."""
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(st.lists(TEXT_PIECES, max_size=30))
+    def test_parse_matches_the_reference(self, pieces):
+        text = "".join(pieces)
+        runs = re.findall("[0-9]+", text)
+        assume(all(len(run) < 6 or len(run) > 4300 for run in runs))
+        got = _outcome(formula._parse_root.__wrapped__, text)
+        want = _outcome(reference_parse, text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got is want
+
+    def test_whitespace_is_what_isspace_accepts(self):
+        for point in range(sys.maxunicode + 1):
+            ch = chr(point)
+            assert formula._TOKEN.findall(ch) == ([] if ch.isspace() else [ch])
+
+    @pytest.mark.parametrize("text", WIDE_TEXTS)
+    def test_wide_texts_match_the_reference(self, text):
+        root = formula._parse_root.__wrapped__(text)
+        assert root is reference_parse(text)
+        assert render.__wrapped__(root) == reference_render(root)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.integers(1, 9), st.integers(1, 40))
+    def test_render_matches_the_reference(self, seed, d, budget):
+        root = random_formula_node(random.Random(seed), d, budget)
+        assert render.__wrapped__(root) == reference_render(root)
 
 
 def _binary(parts):
@@ -413,6 +520,17 @@ g = parse(text)
 net = compile_to_relu(g)
 for j in range(4):
     assert net.forward(Assignment(j, 2)) == evaluate(g, Assignment(j, 2))
+
+# 10^4 nested parentheses, and a missing ')' at that depth.
+depth = 10 ** 4
+assert parse("(" * depth + "x1" + ")" * depth).root is var(1)
+assert parse("!(" * depth + "x1 & x2" + ")" * depth).root is parse("x1 & x2").root
+try:
+    parse("(" * depth + "x1" + ")" * (depth - 1))
+except FormulaSyntaxError as err:
+    assert str(err) == f"expected ')' (at offset {2 * depth + 1})"
+else:
+    raise AssertionError("unbalanced text parsed")
 print("ok")
 """
 
@@ -512,10 +630,44 @@ class TestStructure:
 
     def test_rewrite_keeps_untouched_nodes(self):
         f = parse("(x1 & x2) | (x3 ^ x4)")
-        assert rewrite(f.root, lambda n, kids: None) is f.root
+        assert rewrite(f.root, {}) is f.root
+        assert rewrite(f.root, {var(5): const(0)}) is f.root
         left = and_(var(1), var(2))
-        g = rewrite(f.root, lambda n, kids: const(1) if n is left else None)
+        g = rewrite(f.root, {left: const(1)})
         assert g is const(1)
+
+    def test_gather_keys_each_node_by_its_own_children(self):
+        a, b, c = var(9101), var(9102), var(9103)
+        for node in (and_(a, b, c), or_(and_(a, b), and_(a, c), c), or_(a, b, a, c)):
+            keys = [k for k, v in formula._interned.items() if v is node]
+            assert len(keys) == 1
+            assert keys[0] == (type(node), node.children)
+            assert keys[0][1] is node.children
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 30))
+    def test_rewrite_matches_the_reference(self, seed, d, budget):
+        rng = random.Random(seed)
+        root = random_formula_node(rng, d, budget)
+        nodes = [n for n in formula._order(root) + (root,) if n.support]
+        keys = rng.sample(nodes, min(len(nodes), rng.randint(0, 3)))
+        swap = {k: random_formula_node(rng, d, 3) for k in keys}
+        assert rewrite(root, swap) is reference_rewrite(
+            root, lambda n, kids: swap.get(n)
+        )
+
+    def test_rewrite_enters_only_the_ancestors_of_keys(self, monkeypatch):
+        clauses = [or_(*(var(3 * i + j) for j in (1, 2, 3))) for i in range(100)]
+        root = and_(*clauses)
+        entered = []
+        kids = formula._kids
+        monkeypatch.setattr(formula, "_kids", lambda n: entered.append(n) or kids(n))
+        assert rewrite(root, {var(299): const(0)}) is and_(
+            *clauses[:99], or_(var(298), var(300))
+        )
+        # Building the new nodes reads their children too; of the old nodes
+        # only the key's ancestors were entered.
+        assert set(entered) & {root, *formula._order(root)} == {root, clauses[99]}
 
     def test_support(self):
         f = parse(FIG1)
